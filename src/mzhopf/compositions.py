@@ -81,7 +81,10 @@ class Composition(tuple):
 
     def raised(self, index: int) -> "Composition":
         """Copy of self with the part at 0-based ``index`` incremented by 1."""
-        return Composition(self[:index] + (self[index] + 1,) + self[index + 1:])
+        parts = list(self)
+        parts[index] += 1
+        # incrementing keeps every part >= 1, so the validating __new__ is skipped
+        return tuple.__new__(Composition, parts)
 
     def __getitem__(self, index):
         result = tuple.__getitem__(self, index)

@@ -15,7 +15,10 @@ unit.  ``str`` of an :class:`~mzhopf.elements.Element` emits text this
 grammar parses back to an equal element.
 
 Syntax problems raise :class:`ExpressionSyntaxError` carrying the 1-based
-position; composition parts below 1 and zero denominators are rejected.
+position; composition parts below 1 and zero denominators are rejected, and
+so is a factor inside more than :data:`MAX_NESTING` parentheses and scalar
+prefixes, which keeps the recursive parser off the interpreter's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ __all__ = [
     "evaluate",
     "evaluate_expression",
 ]
+
+
+#: Most parentheses and scalar prefixes a factor may sit inside; each level
+#: costs the parser three frames.
+MAX_NESTING = 100
 
 
 class ExpressionSyntaxError(ValueError):
@@ -159,38 +167,42 @@ class _Parser:
         return self.advance()
 
     def parse(self):
-        node = self.expr()
+        node = self.expr(0)
         tok = self.peek()
         if tok.kind != "end":
             raise ExpressionSyntaxError(f"unexpected trailing {tok.text!r}", tok.position)
         return node
 
-    def expr(self):
+    def expr(self, depth: int):
         negate = False
         if self.peek().kind in ("+", "-"):
             negate = self.advance().kind == "-"
-        node = self.term()
+        node = self.term(depth)
         if negate:
             node = ScalarMultiple(Fraction(-1), node)
         while self.peek().kind in ("+", "-"):
             op = self.advance().kind
-            rhs = self.term()
+            rhs = self.term(depth)
             node = Sum(node, rhs) if op == "+" else Difference(node, rhs)
         return node
 
-    def term(self):
-        node = self.factor()
+    def term(self, depth: int):
+        node = self.factor(depth)
         while self.peek().kind in ("sh", "st"):
             op = self.advance().kind
-            rhs = self.factor()
+            rhs = self.factor(depth)
             node = ShuffleProduct(node, rhs) if op == "sh" else StuffleProduct(node, rhs)
         return node
 
-    def factor(self):
+    def factor(self, depth: int):
         tok = self.peek()
+        if depth > MAX_NESTING:
+            raise ExpressionSyntaxError(
+                f"expression nests more than {MAX_NESTING} levels deep", tok.position
+            )
         if tok.kind == "(":
             self.advance()
-            inner = self.expr()
+            inner = self.expr(depth + 1)
             self.expect(")")
             return Group(inner)
         if tok.kind == "[":
@@ -201,7 +213,7 @@ class _Parser:
             if after.kind in ("*", "/"):
                 scalar = self.rational()
                 self.expect("*")
-                return ScalarMultiple(scalar, self.factor())
+                return ScalarMultiple(scalar, self.factor(depth + 1))
             if tok.text == "1":
                 self.advance()
                 return UnitLiteral()

@@ -21,12 +21,14 @@ With the factorial character ``chi([s]) = 1/weight!`` the composite
 ``canonical_character . induced_morphism`` recovers ``chi`` itself, and the
 induced morphism identifies the two Hopf structures exactly.
 
-Two implementations of the induced morphism are kept deliberately:
-``induced_morphism`` follows the defining formula through the public
-iterated coproduct and weight-profile projection, while
-``induced_morphism_fast`` walks iterated *reduced* coproducts (no unit
-factors ever appear) and is the default used by matrices and the CLI.
-Their agreement is part of the verification suite.
+Two implementations of the induced morphism are kept deliberately.
+``induced_morphism`` follows the defining formula through the full iterated
+coproduct and weight-profile projection; it is the independent oracle.
+``induced_morphism_fast`` is the production route: a recursion over one
+*reduced* coproduct (no unit factors ever appear) whose basis columns are
+memoized on the character and also back ``morphism_matrix`` and
+``preimage``.  Their agreement, and inversion against the definitional
+route, are part of the verification suite.
 """
 
 from __future__ import annotations
@@ -47,12 +49,15 @@ from .compositions import (
 from .elements import (
     Element,
     Rational,
+    _normalized,
     as_element,
     coerce_coeff,
     component_weights,
     graded_component,
 )
 from . import shuffle_algebra
+
+_new = tuple.__new__
 
 __all__ = [
     "CoverageError",
@@ -97,10 +102,12 @@ class Character:
     Lookups beyond ``max_weight`` (or absent from the table when no backing
     rule is installed) raise :class:`CoverageError`.  Instances are
     immutable in use and hashed by identity, so derived data such as
-    morphism matrices may be cached against them.
+    morphism matrices may be cached against them; the basis columns of the
+    induced morphism live in ``_psi``, and the compositions that key them
+    in ``_keys``, for as long as the character does.
     """
 
-    __slots__ = ("_values", "_rule", "max_weight", "label")
+    __slots__ = ("_values", "_rule", "max_weight", "label", "_psi", "_keys")
 
     def __init__(
         self,
@@ -123,6 +130,8 @@ class Character:
         self._rule = rule
         self.max_weight = max_weight
         self.label = label
+        self._psi: dict[Composition, dict[Composition, Rational]] = {UNIT: {UNIT: 1}}
+        self._keys: dict[tuple[int, ...], Composition] = {}
 
     def value(self, c) -> Fraction:
         c = Composition(c)
@@ -278,53 +287,46 @@ def induced_morphism(chi: Character, e) -> Element:
 
 
 def induced_morphism_fast(chi: Character, e) -> Element:
-    """Same morphism via iterated reduced coproducts (no unit factors).
+    """Same morphism, from memoized basis columns (the production route).
 
-    The rank-m chains here are exponentially smaller than the full iterated
-    coproducts, so this is the route used by ``morphism_matrix`` and the CLI.
+    The image of a basis element ``c`` follows the recursion
+
+        psi(c) = chi(c)*[|c|] + sum over (u, v) in the reduced coproduct of c
+                 of w * chi(u) * ([|u|] concatenated with psi(v)),
+
+    which expands the last tensor factor of the iterated reduced coproduct
+    instead of the first; coassociativity makes the two expansions agree.
+    Columns are cached on ``chi`` and shared with ``morphism_matrix`` and
+    ``preimage``.
     """
-    e = as_element(e)
     out: dict[Composition, Rational] = {}
+    for c, q in as_element(e)._terms.items():
+        for d, r in _psi_column(chi, c).items():
+            out[d] = out.get(d, 0) + q * r
+    return Element._raw(_normalized(out))
 
-    def add(c: Composition, q) -> None:
-        s = out.get(c, 0) + q
-        if s:
-            out[c] = s
-        else:
-            out.pop(c, None)
 
-    for n in component_weights(e):
-        en = graded_component(e, n)
-        if n == 0:
-            add(UNIT, en._terms[UNIT])
-            continue
-        terms: dict[tuple[Composition, ...], Rational] = {
-            (c,): q for c, q in en._terms.items()
-        }
-        for m in range(1, n + 1):
-            if m > 1:
-                nxt: dict[tuple[Composition, ...], Rational] = {}
-                for key, q in terms.items():
-                    rest = key[1:]
-                    for (u, v), w in shuffle_algebra._reduced_coproduct_basis(
-                        key[0]
-                    )._terms.items():
-                        k2 = (u, v) + rest
-                        s = nxt.get(k2, 0) + q * w
-                        if s:
-                            nxt[k2] = s
-                        else:
-                            nxt.pop(k2, None)
-                terms = nxt
-                if not terms:
-                    break
-            for key, q in terms.items():
-                coeff = Fraction(q)
-                for f in key:
-                    coeff *= chi.value(f)
-                if coeff:
-                    add(Composition(tuple(f.weight for f in key)), coeff)
-    return Element._raw(out)
+def _psi_column(chi: Character, c: Composition) -> dict[Composition, Rational]:
+    """Terms of psi(c), memoized in ``chi._psi``; callers must not mutate them."""
+    col = chi._psi.get(c)
+    if col is not None:
+        return col
+    # Keys are interned in chi._keys, looked up as plain tuples of parts >= 1:
+    # none goes through the validating constructor, and all columns share one
+    # object per key.
+    keys = chi._keys
+    t = (c.weight,)
+    col = {keys.setdefault(t, _new(Composition, t)): chi.value(c)}
+    for (u, v), w in shuffle_algebra._reduced_coproduct_basis(c)._terms.items():
+        s = w * chi.value(u)
+        head = u.weight
+        for d, r in _psi_column(chi, v).items():
+            t = (head, *d)
+            key = keys.get(t) or keys.setdefault(t, _new(Composition, t))
+            col[key] = col.get(key, 0) + s * r
+    col = _normalized(col)
+    chi._psi[c] = col
+    return col
 
 
 # ---------------------------------------------------------------------------
@@ -391,20 +393,16 @@ class GradedMatrix:
 
 @lru_cache(maxsize=64)
 def _matrix_cached(chi: Character, n: int) -> GradedMatrix:
-    basis = enumerate_basis(n)
+    basis = tuple(enumerate_basis(n))
     index = {c: i for i, c in enumerate(basis)}
-    dim = len(basis)
+    zero = Fraction(0)
     cols: list[list[Fraction]] = []
     for c in basis:
-        image = induced_morphism_fast(chi, Element.basis(c))
-        col = [Fraction(0)] * dim
-        for d, q in image._terms.items():
-            col[index[d]] = Fraction(q)
+        col = [zero] * len(basis)
+        for d, q in _psi_column(chi, c).items():
+            col[index[d]] = q
         cols.append(col)
-    entries = tuple(
-        tuple(cols[j][i] for j in range(dim)) for i in range(dim)
-    )
-    return GradedMatrix(weight=n, basis=tuple(basis), entries=entries)
+    return GradedMatrix(weight=n, basis=basis, entries=tuple(zip(*cols)))
 
 
 def morphism_matrix(chi: Character, n: int) -> GradedMatrix:
@@ -422,8 +420,11 @@ def morphism_matrix(chi: Character, n: int) -> GradedMatrix:
 def preimage(chi: Character, e) -> Element:
     """The unique x with induced_morphism(chi, x) = e.
 
-    Solved per weight by back-substitution on the upper-triangular matrix.
-    Raises SingularCharacterError naming the smallest depth-one weight s with
+    Solved per weight by sparse back-substitution: walking the ascending
+    basis from the top down, each nonzero residual entry is divided by the
+    diagonal entry of its psi column and that column is subtracted.  Only
+    the columns reached are built, never the dense matrix.  Raises
+    SingularCharacterError naming the smallest depth-one weight s with
     chi([s]) = 0 at or below the top weight of ``e``.
     """
     e = as_element(e)
@@ -431,31 +432,20 @@ def preimage(chi: Character, e) -> Element:
     for s in range(1, top + 1):
         if chi.value(Composition((s,))) == 0:
             raise SingularCharacterError(s)
+    residual = dict(e._terms)
     out: dict[Composition, Rational] = {}
     for n in component_weights(e):
-        en = graded_component(e, n)
-        if n == 0:
-            out[UNIT] = en._terms[UNIT]
-            continue
-        mat = morphism_matrix(chi, n)
-        index = {c: i for i, c in enumerate(mat.basis)}
-        b: list[Rational] = [0] * mat.dimension
-        for c, q in en._terms.items():
-            b[index[c]] = q
-        x: list[Rational] = [0] * mat.dimension
-        entries = mat.entries
-        for j in range(mat.dimension - 1, -1, -1):
-            if not b[j]:
+        for c in reversed(enumerate_basis(n)):
+            r = residual.get(c)
+            if not r:
                 continue
-            xj = Fraction(b[j]) / entries[j][j]
-            x[j] = xj
-            for i in range(j):
-                mij = entries[i][j]
-                if mij:
-                    b[i] = b[i] - mij * xj
-        for j, q in enumerate(x):
-            if q:
-                out[mat.basis[j]] = coerce_coeff(Fraction(q))
+            col = _psi_column(chi, c)
+            x = Fraction(r) / col[c]
+            out[c] = coerce_coeff(x)
+            # the column is upper triangular, so this zeroes residual[c] and
+            # changes only entries further down the walk
+            for d, q in col.items():
+                residual[d] = residual.get(d, 0) - x * q
     return Element._raw(out)
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mzhopf
 from mzhopf import cli, verify
+from mzhopf.expressions import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -122,6 +127,27 @@ def test_syntax_error_exit_code(capsys):
     code, _, err = run(capsys, "eval", "[2] ++")
     assert code == 3
     assert "error:" in err
+
+
+def test_nesting_limit_exit_code(capsys):
+    code, out, _ = run(capsys, "eval", "(" * MAX_NESTING + "[1]" + ")" * MAX_NESTING)
+    assert code == 0 and json.loads(out)["terms"] == [{"coeff": "1", "comp": [1]}]
+    code, _, err = run(capsys, "eval", "(" * 2000 + "[1]" + ")" * 2000)
+    assert code == 3
+    assert err.count("error:") == 1
+    assert f"at position {MAX_NESTING + 2}" in err
+    code, _, err = run(capsys, "eval", "2*" * 2000 + "[1]")
+    assert code == 3
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(mzhopf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, mzhopf.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_domain_error_exit_codes(capsys):

@@ -1,8 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from mzhopf import verify
 from mzhopf.compositions import Composition, UNIT, compositions_up_to, enumerate_basis
 from mzhopf.elements import Element
 from mzhopf.morphisms import (
@@ -117,10 +119,22 @@ def test_single_parts_map_to_inverse_factorials():
 
 
 def test_morphism_routes_agree_up_to_weight_six():
+    # the convolved character is multiplicative but not a rescaled factorial
+    for chi in [factorial_character(6), verify._random_characters(6)[1]]:
+        for c in compositions_up_to(6):
+            e = Element.basis(c)
+            assert induced_morphism(chi, e) == induced_morphism_fast(chi, e)
+
+
+def test_repeated_morphism_calls_return_equal_unshared_results():
     chi = factorial_character(6)
-    for c in compositions_up_to(6):
-        e = Element.basis(c)
-        assert induced_morphism(chi, e) == induced_morphism_fast(chi, e)
+    e = Element.basis((1, 2, 1, 1))
+    first = induced_morphism_fast(chi, e)
+    second = induced_morphism_fast(chi, e)
+    assert first == second
+    assert first._terms is not second._terms
+    first._terms.clear()
+    assert induced_morphism_fast(chi, e) == second
 
 
 def test_morphism_is_algebra_map_spot():
@@ -206,6 +220,17 @@ def test_preimage_inverts_morphism():
     e = Element({(2, 1): 3, (1, 1, 1): F(1, 2), (4,): -2, (): 1})
     assert preimage(chi, induced_morphism(chi, e)) == e
     assert induced_morphism(chi, preimage(chi, e)) == e
+
+
+def test_preimage_and_morphism_invert_each_other_at_weight_ten():
+    chi = factorial_character(10)
+    basis = enumerate_basis(10)
+    rng = random.Random(10)
+    for _ in range(4):
+        a, b = rng.sample(basis, 2)
+        e = Element({a: rng.randint(1, 9), b: F(-1, rng.randint(2, 9))})
+        assert preimage(chi, induced_morphism_fast(chi, e)) == e
+        assert induced_morphism_fast(chi, preimage(chi, e)) == e
 
 
 def test_preimage_singular_character():
