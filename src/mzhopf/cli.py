@@ -150,7 +150,7 @@ def _cmd_matrix(args) -> int:
         print(json.dumps({
             "weight": mat.weight,
             "basis": [list(c) for c in mat.basis],
-            "entries": [[str(v) for v in row] for row in mat.entries],
+            "entries": mat.cells(),
         }))
     return 0
 

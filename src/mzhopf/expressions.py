@@ -263,24 +263,66 @@ def parse_expression(src: str):
 
 
 def evaluate(node) -> Element:
-    """Evaluate an AST to an Element."""
+    """Evaluate an AST to an Element.
+
+    Sum and product chains are folded along their left spine in a loop, so
+    a chain of any length evaluates without deep recursion; a sum chain
+    collects its terms in one accumulator instead of copying a partial sum
+    per term.
+    """
     if isinstance(node, CompositionLiteral):
         return Element.basis(node.composition)
     if isinstance(node, UnitLiteral):
         return Element.basis(UNIT)
     if isinstance(node, ScalarMultiple):
         return evaluate(node.operand).scaled(node.scalar)
-    if isinstance(node, Sum):
-        return evaluate(node.left) + evaluate(node.right)
-    if isinstance(node, Difference):
-        return evaluate(node.left) - evaluate(node.right)
-    if isinstance(node, ShuffleProduct):
-        return shuffle_algebra.shuffle(evaluate(node.left), evaluate(node.right))
-    if isinstance(node, StuffleProduct):
-        return quasi_shuffle.stuffle(evaluate(node.left), evaluate(node.right))
+    if isinstance(node, (Sum, Difference)):
+        return _fold_sum(node)
+    if isinstance(node, (ShuffleProduct, StuffleProduct)):
+        return _fold_product(node)
     if isinstance(node, Group):
         return evaluate(node.inner)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _left_spine(node, kinds) -> tuple[object, list]:
+    """The first operand of a left-nested chain of ``kinds``, and the
+    chain's links from the innermost out."""
+    links = []
+    while isinstance(node, kinds):
+        links.append(node)
+        node = node.left
+    links.reverse()
+    return node, links
+
+
+def _fold_sum(node) -> Element:
+    # the linked terms go into one accumulator, which joins the first
+    # operand in a single Element addition at the end
+    first, links = _left_spine(node, (Sum, Difference))
+    head = evaluate(first)
+    acc: dict = {}
+    for link in links:
+        negate = isinstance(link, Difference)
+        for c, v in evaluate(link.right)._terms.items():
+            s = acc.get(c, 0) + (-v if negate else v)
+            if s:
+                acc[c] = s
+            else:
+                acc.pop(c, None)
+    return head + Element._raw(acc)
+
+
+def _fold_product(node) -> Element:
+    first, links = _left_spine(node, (ShuffleProduct, StuffleProduct))
+    acc = evaluate(first)
+    for link in links:
+        product = (
+            shuffle_algebra.shuffle if isinstance(link, ShuffleProduct)
+            else quasi_shuffle.stuffle
+        )
+        acc = product(acc, evaluate(link.right))
+    return acc
 
 
 def evaluate_expression(src: str) -> Element:

@@ -29,6 +29,12 @@ coproduct and weight-profile projection; it is the independent oracle.
 memoized on the character and also back ``morphism_matrix`` and
 ``preimage``.  Their agreement, and inversion against the definitional
 route, are part of the verification suite.
+
+The production route computes in plain integers.  Each memoized column is
+a pair ``(den, nums)``: one positive denominator and integer numerators
+keyed by composition, reduced so that ``gcd(den, *nums) == 1``.  Exact
+rationals (``int`` or ``Fraction``) appear again only in the results
+handed to callers.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import cached_property, lru_cache
+from math import factorial, gcd, lcm
 from typing import Callable, Mapping
 
 from .compositions import (
@@ -49,7 +55,6 @@ from .compositions import (
 from .elements import (
     Element,
     Rational,
-    _normalized,
     as_element,
     coerce_coeff,
     component_weights,
@@ -58,6 +63,10 @@ from .elements import (
 from . import shuffle_algebra
 
 _new = tuple.__new__
+
+#: A psi column: one denominator >= 1 and integer numerators keyed by
+#: composition, with gcd(den, *numerators) == 1.
+Column = tuple[int, dict[Composition, int]]
 
 __all__ = [
     "CoverageError",
@@ -102,9 +111,13 @@ class Character:
     Lookups beyond ``max_weight`` (or absent from the table when no backing
     rule is installed) raise :class:`CoverageError`.  Instances are
     immutable in use and hashed by identity, so derived data such as
-    morphism matrices may be cached against them; the basis columns of the
-    induced morphism live in ``_psi``, and the compositions that key them
-    in ``_keys``, for as long as the character does.
+    morphism matrices may be cached against them.
+
+    The basis columns of the induced morphism are memoized in ``_psi``, and
+    the compositions that key them in ``_keys``.  The memo has no bound: it
+    holds every column any call has reached (every column of weights 1..12,
+    once all of them are built, is about 890 000 entries) and is freed
+    together with the character.
     """
 
     __slots__ = ("_values", "_rule", "max_weight", "label", "_psi", "_keys")
@@ -130,13 +143,16 @@ class Character:
         self._rule = rule
         self.max_weight = max_weight
         self.label = label
-        self._psi: dict[Composition, dict[Composition, Rational]] = {UNIT: {UNIT: 1}}
+        self._psi: dict[Composition, Column] = {UNIT: (1, {UNIT: 1})}
         self._keys: dict[tuple[int, ...], Composition] = {}
 
     def value(self, c) -> Fraction:
-        c = Composition(c)
+        return Fraction(self._lookup(Composition(c)))
+
+    def _lookup(self, c: Composition) -> Rational:
+        """chi(c) as stored, ``int`` or ``Fraction``; ``c`` must be valid."""
         try:
-            return Fraction(self._values[c])
+            return self._values[c]
         except KeyError:
             pass
         if c.weight > self.max_weight:
@@ -148,7 +164,7 @@ class Character:
             raise CoverageError(f"no table entry for {c}")
         v = coerce_coeff(self._rule(c))
         self._values[c] = v
-        return Fraction(v)
+        return v
 
     def __call__(self, arg) -> Fraction:
         if isinstance(arg, Element):
@@ -297,35 +313,69 @@ def induced_morphism_fast(chi: Character, e) -> Element:
     which expands the last tensor factor of the iterated reduced coproduct
     instead of the first; coassociativity makes the two expansions agree.
     Columns are cached on ``chi`` and shared with ``morphism_matrix`` and
-    ``preimage``.
+    ``preimage``.  The image is summed as integers over one common
+    denominator, and each of its coefficients is made exact once.
     """
-    out: dict[Composition, Rational] = {}
-    for c, q in as_element(e)._terms.items():
-        for d, r in _psi_column(chi, c).items():
-            out[d] = out.get(d, 0) + q * r
-    return Element._raw(_normalized(out))
+    terms = as_element(e)._terms
+    den = 1
+    for c, q in terms.items():
+        den = lcm(den, q.denominator * _psi_column(chi, c)[0])
+    out: dict[Composition, int] = {}
+    for c, q in terms.items():
+        cden, nums = _psi_column(chi, c)
+        f = q.numerator * (den // (q.denominator * cden))
+        for d, n in nums.items():
+            out[d] = out.get(d, 0) + f * n
+    return Element._raw({d: _ratio(n, den) for d, n in out.items() if n})
 
 
-def _psi_column(chi: Character, c: Composition) -> dict[Composition, Rational]:
-    """Terms of psi(c), memoized in ``chi._psi``; callers must not mutate them."""
+def _ratio(n: int, den: int) -> Rational:
+    """The exact coefficient n/den, as ``int`` when it is integral."""
+    q, r = divmod(n, den)
+    return Fraction(n, den) if r else q
+
+
+def _psi_column(chi: Character, c: Composition) -> Column:
+    """psi(c) as ``(den, nums)``, memoized in ``chi._psi``.
+
+    ``psi(c) = sum of nums[d] / den * [d]`` with ``den >= 1``, integer
+    numerators and ``gcd(den, *nums.values()) == 1``.  The column is built
+    in integers: one ``lcm`` over the denominators of its parts, integer
+    multiply-adds, and one final ``gcd`` reduction.  Callers must not
+    mutate it.
+    """
     col = chi._psi.get(c)
     if col is not None:
         return col
+    x = chi._lookup(c)
+    den = x.denominator
+    parts = []
+    for (u, v), w in shuffle_algebra._reduced_coproduct_basis(c)._terms.items():
+        y = chi._lookup(u)
+        if not y:
+            continue
+        vden, vnums = _psi_column(chi, v)
+        d = w.denominator * y.denominator * vden
+        den = lcm(den, d)
+        parts.append((u.weight, w.numerator * y.numerator, d, vnums))
     # Keys are interned in chi._keys, looked up as plain tuples of parts >= 1:
     # none goes through the validating constructor, and all columns share one
     # object per key.
     keys = chi._keys
     t = (c.weight,)
-    col = {keys.setdefault(t, _new(Composition, t)): chi.value(c)}
-    for (u, v), w in shuffle_algebra._reduced_coproduct_basis(c)._terms.items():
-        s = w * chi.value(u)
-        head = u.weight
-        for d, r in _psi_column(chi, v).items():
-            t = (head, *d)
+    nums = {keys.setdefault(t, _new(Composition, t)): x.numerator * (den // x.denominator)}
+    for head, a, d, vnums in parts:
+        f = a * (den // d)
+        for k, n in vnums.items():
+            t = (head, *k)
             key = keys.get(t) or keys.setdefault(t, _new(Composition, t))
-            col[key] = col.get(key, 0) + s * r
-    col = _normalized(col)
-    chi._psi[c] = col
+            nums[key] = nums.get(key, 0) + f * n
+    nums = {k: n for k, n in nums.items() if n}
+    g = gcd(den, *nums.values())
+    if g > 1:
+        den //= g
+        nums = {k: n // g for k, n in nums.items()}
+    col = chi._psi[c] = (den, nums)
     return col
 
 
@@ -337,72 +387,117 @@ def _psi_column(chi: Character, c: Composition) -> dict[Composition, Rational]:
 class GradedMatrix:
     """Matrix of a graded map on one weight component, in the ascending basis.
 
+    ``columns[j]`` is the image of ``basis[j]`` as a ``(den, nums)`` pair:
+    integer numerators over one positive denominator, keyed by composition,
+    with absent keys zero (the memoized psi columns, shared, not copied).
     ``entries[row][col]`` is the coefficient of ``basis[row]`` in the image
-    of ``basis[col]``.  For induced-morphism matrices this is upper
-    triangular with the diagonal products described in the module docstring.
+    of ``basis[col]``, built densely on first use.  For induced-morphism
+    matrices this is upper triangular with the diagonal products described
+    in the module docstring.
     """
 
     weight: int
     basis: tuple[Composition, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+    columns: tuple[Column, ...]
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        zero = Fraction(0)
+        index = self._index
+        cols = []
+        for den, nums in self.columns:
+            col = [zero] * self.dimension
+            for d, n in nums.items():
+                col[index[d]] = Fraction(n, den)
+            cols.append(col)
+        return tuple(zip(*cols))
+
+    @cached_property
+    def _index(self) -> dict[Composition, int]:
+        return {c: i for i, c in enumerate(self.basis)}
+
     def entry(self, row: int, col: int) -> Fraction:
-        return self.entries[row][col]
+        den, nums = self.columns[col]
+        return Fraction(nums.get(self.basis[row], 0), den)
 
     def diagonal(self) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i][i] for i in range(self.dimension))
+        return tuple(self.entry(i, i) for i in range(self.dimension))
 
     def is_upper_triangular(self) -> bool:
+        index = self._index
         return all(
-            not self.entries[r][c]
-            for r in range(self.dimension)
-            for c in range(r)
+            index[d] <= j
+            for j, (_, nums) in enumerate(self.columns)
+            for d in nums
         )
 
+    def cells(self) -> list[list[str]]:
+        """``str`` of every entry, row by row; zero entries read ``"0"``."""
+        return list(self._rows(self._texts(), [0] * self.dimension))
+
     def to_csv(self) -> str:
+        rows = self._rows(self._texts(), [0] * self.dimension)
         lines = [",".join(str(c) for c in self.basis)]
-        for row in self.entries:
-            lines.append(",".join(str(v) for v in row))
+        lines.extend(",".join(row) for row in rows)
         return "\n".join(lines) + "\n"
 
     def to_table(self) -> str:
         headers = [str(c) for c in self.basis]
-        cells = [[str(v) for v in row] for row in self.entries]
-        widths = [
-            max(len(headers[j]), max(len(cells[i][j]) for i in range(len(cells))))
-            for j in range(len(headers))
-        ]
+        texts = self._texts()
+        # a header is never narrower than "[1]", so zeros never set a width
+        widths = [len(h) for h in headers]
+        for row in texts:
+            for j, s in row:
+                if len(s) > widths[j]:
+                    widths[j] = len(s)
         stub = max(len(h) for h in headers)
         lines = [
             " " * stub
             + "  "
             + "  ".join(h.rjust(w) for h, w in zip(headers, widths))
         ]
-        for label, row in zip(headers, cells):
-            lines.append(
-                label.rjust(stub)
-                + "  "
-                + "  ".join(v.rjust(w) for v, w in zip(row, widths))
-            )
+        for label, row in zip(headers, self._rows(texts, widths)):
+            lines.append(label.rjust(stub) + "  " + "  ".join(row))
         return "\n".join(lines) + "\n"
+
+    def _texts(self) -> list[list[tuple[int, str]]]:
+        """Per row, ``(column, str(entry))`` for its nonzero entries."""
+        index = self._index
+        texts: list[list[tuple[int, str]]] = [[] for _ in self.basis]
+        for j, (den, nums) in enumerate(self.columns):
+            for d, n in nums.items():
+                texts[index[d]].append((j, _fraction_text(n, den)))
+        return texts
+
+    def _rows(self, texts, widths: list[int]):
+        """Rows of entry texts, each right-justified to its column's width;
+        rows are made one at a time, so no dense grid is ever held."""
+        zeros = ["0".rjust(w) for w in widths]
+        for row_texts in texts:
+            row = zeros.copy()
+            for j, s in row_texts:
+                row[j] = s.rjust(widths[j])
+            yield row
+
+
+def _fraction_text(n: int, den: int) -> str:
+    """``str(Fraction(n, den))`` without building the Fraction."""
+    g = gcd(n, den)
+    if g == den:
+        return str(n // g)
+    return f"{n // g}/{den // g}"
 
 
 @lru_cache(maxsize=64)
 def _matrix_cached(chi: Character, n: int) -> GradedMatrix:
     basis = tuple(enumerate_basis(n))
-    index = {c: i for i, c in enumerate(basis)}
-    zero = Fraction(0)
-    cols: list[list[Fraction]] = []
-    for c in basis:
-        col = [zero] * len(basis)
-        for d, q in _psi_column(chi, c).items():
-            col[index[d]] = q
-        cols.append(col)
-    return GradedMatrix(weight=n, basis=basis, entries=tuple(zip(*cols)))
+    return GradedMatrix(
+        weight=n, basis=basis, columns=tuple(_psi_column(chi, c) for c in basis)
+    )
 
 
 def morphism_matrix(chi: Character, n: int) -> GradedMatrix:
@@ -421,8 +516,10 @@ def preimage(chi: Character, e) -> Element:
     """The unique x with induced_morphism(chi, x) = e.
 
     Solved per weight by sparse back-substitution: walking the ascending
-    basis from the top down, each nonzero residual entry is divided by the
-    diagonal entry of its psi column and that column is subtracted.  Only
+    basis from the top down, each nonzero residual entry ``r`` at ``c``
+    gives one factor ``t = r / nums[c]`` from the integer psi column
+    ``(den, nums)`` of ``c``; the output coefficient is ``t * den`` and
+    ``t * n`` is subtracted for each numerator ``n`` of the column.  Only
     the columns reached are built, never the dense matrix.  Raises
     SingularCharacterError naming the smallest depth-one weight s with
     chi([s]) = 0 at or below the top weight of ``e``.
@@ -439,13 +536,13 @@ def preimage(chi: Character, e) -> Element:
             r = residual.get(c)
             if not r:
                 continue
-            col = _psi_column(chi, c)
-            x = Fraction(r) / col[c]
-            out[c] = coerce_coeff(x)
+            den, nums = _psi_column(chi, c)
+            t = coerce_coeff(Fraction(r, nums[c]))
+            out[c] = coerce_coeff(t * den)
             # the column is upper triangular, so this zeroes residual[c] and
             # changes only entries further down the walk
-            for d, q in col.items():
-                residual[d] = residual.get(d, 0) - x * q
+            for d, q in nums.items():
+                residual[d] = residual.get(d, 0) - t * q
     return Element._raw(out)
 
 

@@ -218,9 +218,15 @@ def _coproduct_basis(c: Composition) -> TensorElement:
         for _ in range(c[i - 1] - 1):
             t = _lift(_raise_part_basis, i, t)
         denom *= factorial(c[i - 1] - 1)
-    if denom != 1:
-        t = t / denom
-    return t
+    if denom == 1:
+        return t
+    # the quotients are integers (checked through weight 9); Fraction is
+    # only the fallback for a coefficient that does not divide
+    terms = {}
+    for key, v in t._terms.items():
+        q, r = divmod(v, denom)
+        terms[key] = Fraction(v, denom) if r else q
+    return TensorElement._raw(2, terms)
 
 
 @lru_cache(maxsize=None)

@@ -7,6 +7,8 @@ import pytest
 
 import mzhopf
 from mzhopf import cli, verify
+from mzhopf.compositions import enumerate_basis
+from mzhopf.elements import Element
 from mzhopf.expressions import MAX_NESTING
 
 
@@ -63,6 +65,26 @@ def test_psi_and_inverse_roundtrip(capsys):
     assert code == 0 and out.strip() == "1/2*[2] + [1,1]"
     code, out, _ = run(capsys, "psi-inv", "1/2*[2] + [1,1]", "--format", "text")
     assert code == 0 and out.strip() == "[1,1]"
+
+
+def test_psi_text_output_round_trips_at_weight_eleven(capsys):
+    ones = "[" + ",".join(["1"] * 11) + "]"
+    code, text, _ = run(capsys, "psi", ones, "--format", "text")
+    assert code == 0 and text.count("[") == 1024
+    code, out, err = run(capsys, "psi-inv", text.strip(), "--format", "text")
+    assert (code, out.strip(), err) == (0, ones, "")
+
+
+def test_eval_of_a_5000_term_sum(capsys):
+    basis = [c for n in range(1, 14) for c in enumerate_basis(n)][:5000]
+    terms = [f"{i % 7 + 1}*[{','.join(map(str, c))}]" for i, c in enumerate(basis)]
+    src = terms[0] + "".join((" - " if i % 2 else " + ") + t for i, t in enumerate(terms[1:]))
+    expected = Element(
+        {c: (i % 7 + 1) * (-1 if i % 2 == 0 and i else 1) for i, c in enumerate(basis)}
+    )
+    code, out, err = run(capsys, "eval", src, "--format", "text")
+    assert (code, err) == (0, "")
+    assert out.strip() == str(expected)
 
 
 def test_matrix_formats(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mzhopf import verify
+from mzhopf import cli, verify
 from mzhopf.compositions import Composition, UNIT, compositions_up_to, enumerate_basis
 from mzhopf.elements import Element
 from mzhopf.morphisms import (
@@ -118,9 +118,20 @@ def test_single_parts_map_to_inverse_factorials():
         assert img == Element.basis((n,), F(1, __import__("math").factorial(n)))
 
 
+def _coprime_character(max_weight):
+    """A multiplicative character whose values have large coprime
+    denominators (powers of 1009 and 997 times factorials)."""
+    return verify._convolved_character(
+        verify._scaled_factorial(F(7, 1009), max_weight),
+        verify._scaled_factorial(F(-5, 997), max_weight),
+        max_weight,
+    )
+
+
 def test_morphism_routes_agree_up_to_weight_six():
-    # the convolved character is multiplicative but not a rescaled factorial
-    for chi in [factorial_character(6), verify._random_characters(6)[1]]:
+    # the convolved characters are multiplicative but not rescaled factorials
+    chars = [factorial_character(6), verify._random_characters(6)[1], _coprime_character(6)]
+    for chi in chars:
         for c in compositions_up_to(6):
             e = Element.basis(c)
             assert induced_morphism(chi, e) == induced_morphism_fast(chi, e)
@@ -188,6 +199,52 @@ def test_matrix_is_upper_triangular_with_factorial_diagonal():
             for part in c:
                 expected *= F(1, __import__("math").factorial(part))
             assert m.entries[j][j] == expected
+
+
+def test_memoized_columns_are_in_normal_form():
+    chars = [factorial_character(8), verify._random_characters(8)[1], _coprime_character(7)]
+    for chi in chars:
+        for n in range(1, chi.max_weight + 1):
+            morphism_matrix(chi, n)
+        assert len(chi._psi) == 2**chi.max_weight  # every column, and the unit's
+        for c, (den, nums) in chi._psi.items():
+            assert type(den) is int and den >= 1, c
+            assert all(type(v) is int and v for v in nums.values()), c
+            assert __import__("math").gcd(den, *nums.values()) == 1, c
+
+
+def _dense_renderings(m):
+    """cells, CSV and table drawn from the dense entries, as the renderer
+    did before the sparse integer columns."""
+    headers = [str(c) for c in m.basis]
+    cells = [[str(v) for v in row] for row in m.entries]
+    csv = "\n".join([",".join(headers)] + [",".join(row) for row in cells]) + "\n"
+    widths = [
+        max(len(headers[j]), max(len(cells[i][j]) for i in range(len(cells))))
+        for j in range(len(headers))
+    ]
+    stub = max(len(h) for h in headers)
+    lines = [" " * stub + "  " + "  ".join(h.rjust(w) for h, w in zip(headers, widths))]
+    for label, row in zip(headers, cells):
+        lines.append(
+            label.rjust(stub) + "  " + "  ".join(v.rjust(w) for v, w in zip(row, widths))
+        )
+    return cells, csv, "\n".join(lines) + "\n"
+
+
+def test_matrix_renderings_match_str_of_entries(capsys):
+    # the convolved character gives negative and non-unit-fraction entries
+    for chi in [factorial_character(12), verify._random_characters(7)[1]]:
+        for n in range(1, 8):
+            m = morphism_matrix(chi, n)
+            cells, csv, table = _dense_renderings(m)
+            assert m.cells() == cells
+            assert m.to_csv() == csv
+            assert m.to_table() == table
+            if chi.label == "factorial":
+                assert cli.main(["matrix", "--weight", str(n), "--format", "json"]) == 0
+                doc = {"weight": n, "basis": [list(c) for c in m.basis], "entries": cells}
+                assert capsys.readouterr().out == json.dumps(doc) + "\n"
 
 
 def test_matrix_csv_and_table():

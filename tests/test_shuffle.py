@@ -7,6 +7,7 @@ from mzhopf.compositions import UNIT, Composition, compositions_up_to, enumerate
 from mzhopf.elements import Element, TensorElement, componentwise_product
 from mzhopf.shuffle_algebra import (
     UnitTermError,
+    _coproduct_basis,
     antipode,
     coproduct,
     counit,
@@ -144,6 +145,12 @@ def test_coproduct_of_ones_is_binomial_free_deconcatenation():
     c = Composition((1,) * k)
     expected = T({((1,) * j, (1,) * (k - j)): 1 for j in range(k + 1)})
     assert coproduct(c) == expected
+
+
+def test_coproduct_coefficients_are_integers_through_weight_nine():
+    # the factorial denominator of the closed formula divides every coefficient
+    for c in compositions_up_to(9):
+        assert all(type(v) is int for v in _coproduct_basis(c)._terms.values()), c
 
 
 def test_single_part_compositions_are_primitive():
