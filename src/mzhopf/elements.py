@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numbers
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .compositions import Composition, UNIT, serial_key
 
@@ -38,8 +38,49 @@ def coerce_coeff(value) -> Rational:
     raise TypeError(f"cannot use {value!r} as an exact coefficient")
 
 
-def _normalized(terms: dict) -> dict:
-    return {k: v for k, v in terms.items() if v}
+_DICT_ITEMS = type({}.items())
+
+
+def linear_combination(parts) -> dict:
+    """Sparse sum of scaled parts: ``{key: sum of q * v}``.
+
+    Each item of ``parts`` is a pair ``(pairs, q)``; every ``(key, v)`` in
+    ``pairs`` adds ``q * v`` to ``key``.  Zero coefficients are dropped once,
+    at the end.  Parts are taken one at a time and each is used up before
+    the next is drawn, so a generator of parts may hand out generators that
+    read its own loop variables.
+    """
+    out: dict = {}
+    get = out.get
+    for pairs, q in parts:
+        if q == 1 and not out and type(pairs) is _DICT_ITEMS:
+            # the keys of a dict are distinct, so the sum so far is a copy
+            # of that dict, which is far cheaper than adding term by term
+            out = pairs.mapping.copy()
+            get = out.get
+        elif q == 1:
+            # Fraction * 1 still builds a new Fraction
+            for key, v in pairs:
+                out[key] = get(key, 0) + v
+        else:
+            for key, v in pairs:
+                out[key] = get(key, 0) + q * v
+    if all(out.values()):
+        return out
+    return {k: v for k, v in out.items() if v}
+
+
+def _signed_join(pieces) -> str:
+    """``(body, coefficient)`` pairs as ``"a - 2*b + 1/3*c"``."""
+    chunks: list[str] = []
+    for body, v in pieces:
+        mag = abs(v)
+        piece = body if mag == 1 else f"{mag}*{body}"
+        if not chunks:
+            chunks.append(piece if v > 0 else "-" + piece)
+        else:
+            chunks.append(("+ " if v > 0 else "- ") + piece)
+    return " ".join(chunks)
 
 
 class Element:
@@ -48,19 +89,10 @@ class Element:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        data: dict[Composition, Rational] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for key, value in items:
-                c = Composition(key)
-                v = coerce_coeff(value)
-                if c in data:
-                    v = data[c] + v
-                if v:
-                    data[c] = v
-                else:
-                    data.pop(c, None)
-        self._terms = data
+        items = terms.items() if isinstance(terms, Mapping) else terms or ()
+        self._terms = linear_combination(
+            [(((Composition(k), coerce_coeff(v)) for k, v in items), 1)]
+        )
 
     # -- construction ------------------------------------------------------
 
@@ -124,14 +156,9 @@ class Element:
     def __add__(self, other) -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        out = dict(self._terms)
-        for c, v in other._terms.items():
-            s = out.get(c, 0) + v
-            if s:
-                out[c] = s
-            else:
-                out.pop(c, None)
-        return Element._raw(out)
+        return Element._raw(
+            linear_combination(((self._terms.items(), 1), (other._terms.items(), 1)))
+        )
 
     def __sub__(self, other) -> "Element":
         if not isinstance(other, Element):
@@ -157,15 +184,9 @@ class Element:
 
     def map_basis(self, fn: Callable[[Composition], "Element"]) -> "Element":
         """Linear extension of a basis map fn: Composition -> Element."""
-        out: dict[Composition, Rational] = {}
-        for c, q in self._terms.items():
-            for d, v in fn(c)._terms.items():
-                s = out.get(d, 0) + q * v
-                if s:
-                    out[d] = s
-                else:
-                    out.pop(d, None)
-        return Element._raw(out)
+        return Element._raw(
+            linear_combination((fn(c)._terms.items(), q) for c, q in self._terms.items())
+        )
 
     # -- output ------------------------------------------------------------
 
@@ -180,16 +201,7 @@ class Element:
         """Canonical text form, parseable by the expression grammar."""
         if not self._terms:
             return "0*1"
-        chunks: list[str] = []
-        for c, v in self.terms():
-            body = str(c) if c else "1"
-            mag = abs(v)
-            piece = body if mag == 1 else f"{mag}*{body}"
-            if not chunks:
-                chunks.append(piece if v > 0 else "-" + piece)
-            else:
-                chunks.append(("+ " if v > 0 else "- ") + piece)
-        return " ".join(chunks)
+        return _signed_join((str(c) if c else "1", v) for c, v in self.terms())
 
     def __repr__(self) -> str:
         return f"Element({{{', '.join(f'{c}: {v}' for c, v in self.terms())}}})"
@@ -204,21 +216,17 @@ class TensorElement:
         if rank < 1:
             raise ValueError("tensor rank must be >= 1")
         self._rank = rank
-        data: dict[tuple[Composition, ...], Rational] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for key, value in items:
-                k = tuple(Composition(f) for f in key)
-                if len(k) != rank:
-                    raise ValueError(f"key {k} has rank {len(k)}, expected {rank}")
-                v = coerce_coeff(value)
-                if k in data:
-                    v = data[k] + v
-                if v:
-                    data[k] = v
-                else:
-                    data.pop(k, None)
-        self._terms = data
+
+        def checked(key) -> tuple[Composition, ...]:
+            k = tuple(Composition(f) for f in key)
+            if len(k) != rank:
+                raise ValueError(f"key {k} has rank {len(k)}, expected {rank}")
+            return k
+
+        items = terms.items() if isinstance(terms, Mapping) else terms or ()
+        self._terms = linear_combination(
+            [(((checked(k), coerce_coeff(v)) for k, v in items), 1)]
+        )
 
     @classmethod
     def basis(cls, factors, coeff=1) -> "TensorElement":
@@ -271,14 +279,10 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._require_same_rank(other)
-        out = dict(self._terms)
-        for k, v in other._terms.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TensorElement._raw(self._rank, out)
+        return TensorElement._raw(
+            self._rank,
+            linear_combination(((self._terms.items(), 1), (other._terms.items(), 1))),
+        )
 
     def __sub__(self, other) -> "TensorElement":
         if not isinstance(other, TensorElement):
@@ -311,16 +315,9 @@ class TensorElement:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        chunks = []
-        for k, v in self.terms():
-            body = "(x)".join(str(f) if f else "1" for f in k)
-            mag = abs(v)
-            piece = body if mag == 1 else f"{mag}*{body}"
-            if not chunks:
-                chunks.append(piece if v > 0 else "-" + piece)
-            else:
-                chunks.append(("+ " if v > 0 else "- ") + piece)
-        return " ".join(chunks)
+        return _signed_join(
+            ("(x)".join(str(f) if f else "1" for f in k), v) for k, v in self.terms()
+        )
 
     def __repr__(self) -> str:
         inner = ", ".join(
@@ -346,44 +343,26 @@ def component_weights(e: Element) -> list[int]:
     return sorted({c.weight for c in e._terms})
 
 
-def tensor_project(t: TensorElement, alpha) -> TensorElement:
-    """Keep the tensor terms whose factorwise weight profile equals ``alpha``.
-
-    ``alpha`` must be a composition of depth equal to the rank of ``t``;
-    anything else is a rank mismatch.
-    """
-    alpha = Composition(alpha)
-    if alpha.depth != t.rank:
-        raise ValueError(f"rank mismatch: tensor rank {t.rank}, profile depth {alpha.depth}")
-    profile = tuple(alpha)
-    return TensorElement._raw(
-        t.rank,
-        {k: v for k, v in t._terms.items() if tuple(f.weight for f in k) == profile},
-    )
-
-
 def componentwise_product(
     t1: TensorElement, t2: TensorElement, product: Callable[[Element, Element], Element]
 ) -> TensorElement:
     """Apply a bilinear product factor by factor: (u1 (x) v1)·(u2 (x) v2) etc."""
     t1._require_same_rank(t2)
-    rank = t1.rank
-    out: dict[tuple[Composition, ...], Rational] = {}
-    for k1, q1 in t1._terms.items():
-        for k2, q2 in t2._terms.items():
-            q = q1 * q2
-            partials: list[tuple[tuple[Composition, ...], Rational]] = [((), q)]
-            for i in range(rank):
-                factor = product(Element.basis(k1[i]), Element.basis(k2[i]))
-                partials = [
-                    (key + (c,), coeff * v)
-                    for key, coeff in partials
-                    for c, v in factor._terms.items()
-                ]
-            for key, coeff in partials:
-                s = out.get(key, 0) + coeff
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    return TensorElement._raw(rank, out)
+
+    def factorwise(k1, k2) -> list[tuple[tuple[Composition, ...], Rational]]:
+        partials: list[tuple[tuple[Composition, ...], Rational]] = [((), 1)]
+        for a, b in zip(k1, k2):
+            factor = product(Element.basis(a), Element.basis(b))._terms.items()
+            partials = [
+                (key + (c,), coeff * v) for key, coeff in partials for c, v in factor
+            ]
+        return partials
+
+    return TensorElement._raw(
+        t1.rank,
+        linear_combination(
+            (factorwise(k1, k2), q1 * q2)
+            for k1, q1 in t1._terms.items()
+            for k2, q2 in t2._terms.items()
+        ),
+    )

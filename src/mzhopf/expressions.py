@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .compositions import Composition, UNIT
-from .elements import Element
+from .elements import Element, linear_combination
 from . import quasi_shuffle, shuffle_algebra
 
 __all__ = [
@@ -301,15 +301,10 @@ def _fold_sum(node) -> Element:
     # operand in a single Element addition at the end
     first, links = _left_spine(node, (Sum, Difference))
     head = evaluate(first)
-    acc: dict = {}
-    for link in links:
-        negate = isinstance(link, Difference)
-        for c, v in evaluate(link.right)._terms.items():
-            s = acc.get(c, 0) + (-v if negate else v)
-            if s:
-                acc[c] = s
-            else:
-                acc.pop(c, None)
+    acc = linear_combination(
+        (evaluate(link.right)._terms.items(), -1 if isinstance(link, Difference) else 1)
+        for link in links
+    )
     return head + Element._raw(acc)
 
 

@@ -2,14 +2,13 @@
 
 A character is a rational-valued multiplicative functional on the shuffle
 algebra, stored as a finite table with an explicit weight horizon.  Every
-character ``chi`` induces an algebra-and-coalgebra morphism into the
+character ``chi`` induces an algebra-and-coalgebra morphism ``psi`` into the
 quasi-shuffle algebra,
 
-    induced_morphism(chi, e) =
-        sum over compositions alpha of weight n of
-            (chi tensored over the factors of the rank-depth(alpha)
-             iterated coproduct, projected to weight profile alpha)
-        times the basis element [alpha],
+    psi(e) = sum over compositions alpha of weight n of
+                 (chi tensored over the factors of the rank-depth(alpha)
+                  iterated coproduct, projected to weight profile alpha)
+             times the basis element [alpha],
 
 for homogeneous ``e`` of weight ``n``.  In the ascending composition basis
 its weight-``n`` matrix is upper triangular with diagonal entry
@@ -18,19 +17,16 @@ is invertible exactly when ``chi([s]) != 0`` for every relevant ``s``;
 ``preimage`` realizes the inverse by back-substitution.
 
 With the factorial character ``chi([s]) = 1/weight!`` the composite
-``canonical_character . induced_morphism`` recovers ``chi`` itself, and the
-induced morphism identifies the two Hopf structures exactly.
+``canonical_character . psi`` recovers ``chi`` itself, and ``psi``
+identifies the two Hopf structures exactly.
 
-Two implementations of the induced morphism are kept deliberately.
-``induced_morphism`` follows the defining formula through the full iterated
-coproduct and weight-profile projection; it is the independent oracle.
-``induced_morphism_fast`` is the production route: a recursion over one
-*reduced* coproduct (no unit factors ever appear) whose basis columns are
-memoized on the character and also back ``morphism_matrix`` and
-``preimage``.  Their agreement, and inversion against the definitional
-route, are part of the verification suite.
+``induced_morphism_fast`` computes ``psi`` by a recursion over one *reduced*
+coproduct (no unit factors ever appear) whose basis columns are memoized on
+the character and also back ``morphism_matrix`` and ``preimage``.  The
+defining formula above is kept only as an oracle in :mod:`mzhopf.verify`,
+which checks this route against it and inverts ``preimage`` against it.
 
-The production route computes in plain integers.  Each memoized column is
+The columns are computed in plain integers.  Each memoized column is
 a pair ``(den, nums)``: one positive denominator and integer numerators
 keyed by composition, reduced so that ``gcd(den, *nums) == 1``.  Exact
 rationals (``int`` or ``Fraction``) appear again only in the results
@@ -42,24 +38,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import factorial, gcd, lcm
 from typing import Callable, Mapping
 
-from .compositions import (
-    UNIT,
-    Composition,
-    enumerate_basis,
-    serial_key,
-)
-from .elements import (
-    Element,
-    Rational,
-    as_element,
-    coerce_coeff,
-    component_weights,
-    graded_component,
-)
+from .compositions import UNIT, Composition, enumerate_basis
+from .elements import Element, Rational, as_element, coerce_coeff, component_weights
 from . import shuffle_algebra
 
 _new = tuple.__new__
@@ -76,8 +60,6 @@ __all__ = [
     "factorial_character",
     "validate_character",
     "CharacterCheck",
-    "projected_character",
-    "induced_morphism",
     "induced_morphism_fast",
     "GradedMatrix",
     "morphism_matrix",
@@ -110,8 +92,7 @@ class Character:
     ``values`` maps compositions to exact rationals; the unit maps to 1.
     Lookups beyond ``max_weight`` (or absent from the table when no backing
     rule is installed) raise :class:`CoverageError`.  Instances are
-    immutable in use and hashed by identity, so derived data such as
-    morphism matrices may be cached against them.
+    immutable in use and hashed by identity.
 
     The basis columns of the induced morphism are memoized in ``_psi``, and
     the compositions that key them in ``_keys``.  The memo has no bound: it
@@ -227,79 +208,6 @@ def validate_character(chi: Character) -> CharacterCheck:
 
 # ---------------------------------------------------------------------------
 # the induced morphism
-
-
-def projected_character(chi: Character, alpha, e) -> Fraction:
-    """Coefficient functional for profile ``alpha``: iterate the coproduct to
-    rank depth(alpha), project to the weight profile, multiply chi across the
-    factors and sum."""
-    alpha = Composition(alpha)
-    if not alpha:
-        raise ValueError("the profile must be a nonempty composition")
-    e = as_element(e)
-    from .elements import tensor_project
-
-    m = alpha.depth
-    projected = tensor_project(shuffle_algebra.iterated_coproduct(m, e), alpha)
-    total = Fraction(0)
-    for key, q in projected._terms.items():
-        prod = Fraction(q)
-        for f in key:
-            prod *= chi.value(f)
-        total += prod
-    return total
-
-
-def induced_morphism(chi: Character, e) -> Element:
-    """The character-induced morphism, by its defining per-profile formula.
-
-    For each homogeneous component of weight n and each rank m, the rank-m
-    iterated coproduct is bucketed by factorwise weight profile; profiles
-    containing a zero belong to no composition of n and contribute nothing.
-    This is the definitional route; see ``induced_morphism_fast`` for the
-    production one.
-    """
-    e = as_element(e)
-    out: dict[Composition, Rational] = {}
-
-    def add(c: Composition, q) -> None:
-        s = out.get(c, 0) + q
-        if s:
-            out[c] = s
-        else:
-            out.pop(c, None)
-
-    for n in component_weights(e):
-        en = graded_component(e, n)
-        if n == 0:
-            add(UNIT, en._terms[UNIT])
-            continue
-        terms: dict[tuple[Composition, ...], Rational] = {
-            (c,): q for c, q in en._terms.items()
-        }
-        for m in range(1, n + 1):
-            if m > 1:
-                nxt: dict[tuple[Composition, ...], Rational] = {}
-                for key, q in terms.items():
-                    rest = key[1:]
-                    for (u, v), w in shuffle_algebra._coproduct_basis(key[0])._terms.items():
-                        k2 = (u, v) + rest
-                        s = nxt.get(k2, 0) + q * w
-                        if s:
-                            nxt[k2] = s
-                        else:
-                            nxt.pop(k2, None)
-                terms = nxt
-            for key, q in terms.items():
-                profile = tuple(f.weight for f in key)
-                if 0 in profile:
-                    continue
-                coeff = Fraction(q)
-                for f in key:
-                    coeff *= chi.value(f)
-                if coeff:
-                    add(Composition(profile), coeff)
-    return Element._raw(out)
 
 
 def induced_morphism_fast(chi: Character, e) -> Element:
@@ -492,14 +400,6 @@ def _fraction_text(n: int, den: int) -> str:
     return f"{n // g}/{den // g}"
 
 
-@lru_cache(maxsize=64)
-def _matrix_cached(chi: Character, n: int) -> GradedMatrix:
-    basis = tuple(enumerate_basis(n))
-    return GradedMatrix(
-        weight=n, basis=basis, columns=tuple(_psi_column(chi, c) for c in basis)
-    )
-
-
 def morphism_matrix(chi: Character, n: int) -> GradedMatrix:
     """Matrix of the induced morphism on the weight-``n`` component."""
     if n < 1:
@@ -509,11 +409,14 @@ def morphism_matrix(chi: Character, n: int) -> GradedMatrix:
             f"{chi.label or 'character'} covers weight <= {chi.max_weight}, "
             f"cannot build the weight-{n} matrix"
         )
-    return _matrix_cached(chi, n)
+    basis = tuple(enumerate_basis(n))
+    return GradedMatrix(
+        weight=n, basis=basis, columns=tuple(_psi_column(chi, c) for c in basis)
+    )
 
 
 def preimage(chi: Character, e) -> Element:
-    """The unique x with induced_morphism(chi, x) = e.
+    """The unique x with induced_morphism_fast(chi, x) = e.
 
     Solved per weight by sparse back-substitution: walking the ascending
     basis from the top down, each nonzero residual entry ``r`` at ``c``

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .compositions import UNIT, Composition, coarsenings
-from .elements import Element, Rational, TensorElement, as_element
+from .elements import Element, TensorElement, as_element, linear_combination
 
 __all__ = [
     "stuffle",
@@ -59,34 +59,25 @@ def _stuffle_basis(a: Composition, b: Composition) -> tuple[tuple[Composition, i
 
 def stuffle(a, b) -> Element:
     """Bilinear stuffle (quasi-shuffle) product; compositions are promoted."""
-    a = as_element(a)
-    b = as_element(b)
-    out: dict[Composition, Rational] = {}
-    for c1, q1 in a._terms.items():
-        for c2, q2 in b._terms.items():
-            q = q1 * q2
-            for c, mult in _stuffle_basis(c1, c2):
-                s = out.get(c, 0) + q * mult
-                if s:
-                    out[c] = s
-                else:
-                    out.pop(c, None)
-    return Element._raw(out)
+    b_terms = as_element(b)._terms.items()
+    return Element._raw(
+        linear_combination(
+            (_stuffle_basis(c1, c2), q1 * q2)
+            for c1, q1 in as_element(a)._terms.items()
+            for c2, q2 in b_terms
+        )
+    )
 
 
 def coproduct(e) -> TensorElement:
     """Deconcatenation: [s] -> sum of prefix (x) suffix over all depth+1 cuts."""
-    e = as_element(e)
-    out: dict[tuple[Composition, Composition], Rational] = {}
-    for c, q in e._terms.items():
-        for j in range(len(c) + 1):
-            key = (c[:j], c[j:])
-            s = out.get(key, 0) + q
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return TensorElement._raw(2, out)
+    return TensorElement._raw(
+        2,
+        linear_combination(
+            ((((c[:j], c[j:]), 1) for j in range(len(c) + 1)), q)
+            for c, q in as_element(e)._terms.items()
+        ),
+    )
 
 
 def counit(e) -> Fraction:

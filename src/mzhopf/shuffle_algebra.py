@@ -38,7 +38,7 @@ from .compositions import (
     decode_word,
     encode_word,
 )
-from .elements import Element, Rational, TensorElement, as_element
+from .elements import Element, Rational, TensorElement, as_element, linear_combination
 
 __all__ = [
     "UnitTermError",
@@ -95,21 +95,13 @@ def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
 
 def shuffle(a, b) -> Element:
     """Bilinear shuffle product of two elements (compositions promoted)."""
-    a = as_element(a)
-    b = as_element(b)
-    out: dict[Composition, Rational] = {}
-    for c1, q1 in a._terms.items():
-        w1 = encode_word(c1)
-        for c2, q2 in b._terms.items():
-            q = q1 * q2
-            for w, mult in _word_pair(w1, encode_word(c2)):
-                c = decode_word(w)
-                s = out.get(c, 0) + q * mult
-                if s:
-                    out[c] = s
-                else:
-                    out.pop(c, None)
-    return Element._raw(out)
+    left = [(encode_word(c), q) for c, q in as_element(a)._terms.items()]
+    right = [(encode_word(c), q) for c, q in as_element(b)._terms.items()]
+    # summed by word, so each distinct output word is decoded once
+    by_word = linear_combination(
+        (_word_pair(u, v), p * q) for u, p in left for v, q in right
+    )
+    return Element._raw({decode_word(w): q for w, q in by_word.items()})
 
 
 def rota_baxter(e) -> Element:
@@ -119,18 +111,11 @@ def rota_baxter(e) -> Element:
     rota_baxter(a sh rota_baxter(b)) + rota_baxter(rota_baxter(a) sh b).
     Undefined when ``e`` has a unit term.
     """
-    e = as_element(e)
-    out: dict[Composition, Rational] = {}
-    for c, q in e._terms.items():
-        if not c:
-            raise UnitTermError("rota_baxter is undefined on the unit term")
-        d = c.raised(0)
-        s = out.get(d, 0) + q
-        if s:
-            out[d] = s
-        else:
-            out.pop(d, None)
-    return Element._raw(out)
+    terms = as_element(e)._terms
+    if UNIT in terms:
+        raise UnitTermError("rota_baxter is undefined on the unit term")
+    # raising the first part is injective, so no two terms meet
+    return Element._raw({c.raised(0): q for c, q in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +160,20 @@ def _lift(basis_op, i: int, t: TensorElement) -> TensorElement:
     the right one at index ``i - depth(u)``; out-of-range indices vanish
     inside the basis operator.
     """
+    # Not built through linear_combination: each basis_op call gives 0 or 1
+    # pairs on the coproduct's hot path, where one part per call costs more
+    # than the sum itself.  Zeros are still dropped once, at the end.
     out: dict[tuple[Composition, Composition], Rational] = {}
+    get = out.get
     for (u, v), q in t._terms.items():
         for c, k in basis_op(i, u):
             key = (c, v)
-            s = out.get(key, 0) + q * k
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            out[key] = get(key, 0) + q * k
         for c, k in basis_op(i - len(u), v):
             key = (u, c)
-            s = out.get(key, 0) + q * k
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            out[key] = get(key, 0) + q * k
+    if not all(out.values()):
+        out = {key: q for key, q in out.items() if q}
     return TensorElement._raw(2, out)
 
 
@@ -241,30 +224,33 @@ def _reduced_coproduct_basis(c: Composition) -> TensorElement:
 
 def coproduct(e) -> TensorElement:
     """The shuffle-side coproduct, extended linearly."""
-    e = as_element(e)
-    out: dict[tuple[Composition, Composition], Rational] = {}
-    for c, q in e._terms.items():
-        for key, v in _coproduct_basis(c)._terms.items():
-            s = out.get(key, 0) + q * v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return TensorElement._raw(2, out)
+    return TensorElement._raw(
+        2,
+        linear_combination(
+            (_coproduct_basis(c)._terms.items(), q) for c, q in as_element(e)._terms.items()
+        ),
+    )
 
 
 def reduced_coproduct(e) -> TensorElement:
     """coproduct minus the two boundary terms unit (x) e and e (x) unit."""
-    e = as_element(e)
-    out: dict[tuple[Composition, Composition], Rational] = {}
-    for c, q in e._terms.items():
-        for key, v in _reduced_coproduct_basis(c)._terms.items():
-            s = out.get(key, 0) + q * v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return TensorElement._raw(2, out)
+    return TensorElement._raw(
+        2,
+        linear_combination(
+            (_reduced_coproduct_basis(c)._terms.items(), q)
+            for c, q in as_element(e)._terms.items()
+        ),
+    )
+
+
+def _expand_first(terms: dict, basis_coproduct) -> dict:
+    """Apply ``basis_coproduct`` (composition -> rank-2 tensor) to the first
+    factor of every key of ``terms``, a sparse sum of rank-m keys; the
+    result has rank m + 1."""
+    return linear_combination(
+        (((uv + key[1:], w) for uv, w in basis_coproduct(key[0])._terms.items()), q)
+        for key, q in terms.items()
+    )
 
 
 def iterated_coproduct(m: int, e) -> TensorElement:
@@ -275,22 +261,9 @@ def iterated_coproduct(m: int, e) -> TensorElement:
     """
     if m < 1:
         raise ValueError("iterated coproduct needs rank >= 1")
-    e = as_element(e)
-    terms: dict[tuple[Composition, ...], Rational] = {
-        (c,): q for c, q in e._terms.items()
-    }
+    terms = {(c,): q for c, q in as_element(e)._terms.items()}
     for _ in range(m - 1):
-        nxt: dict[tuple[Composition, ...], Rational] = {}
-        for key, q in terms.items():
-            rest = key[1:]
-            for (u, v), w in _coproduct_basis(key[0])._terms.items():
-                k2 = (u, v) + rest
-                s = nxt.get(k2, 0) + q * w
-                if s:
-                    nxt[k2] = s
-                else:
-                    nxt.pop(k2, None)
-        terms = nxt
+        terms = _expand_first(terms, _coproduct_basis)
     return TensorElement._raw(m, terms)
 
 

@@ -8,9 +8,11 @@ the command line).
 
 Several checks are deliberate dual routes: the recursive word shuffle against
 a positional brute-force enumeration, the closed-form quasi-shuffle antipode
-against the convolution recursion, the per-profile induced morphism against
-the reduced-coproduct traversal, and the cumulative-sum series evaluator
-against nested loops.  The two sides of each pair share no code.
+against the convolution recursion, and the cumulative-sum series evaluator
+against nested loops; the two sides of each of these pairs share no code.
+The induced morphism's production recursion is checked against
+``induced_morphism``, the defining per-profile formula, which is kept here
+as an oracle and shares only the coproduct table with production.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .compositions import (
     UNIT,
@@ -35,10 +37,12 @@ from .compositions import (
 from .elements import (
     Element,
     TensorElement,
+    as_element,
     componentwise_product,
     graded_component,
-    tensor_project,
+    linear_combination,
 )
+from .shuffle_algebra import _expand_first
 from . import morphisms, numeric, quasi_shuffle, shuffle_algebra
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_all"]
@@ -110,6 +114,35 @@ def _convolution_antipode(c: Composition, memo: dict) -> Element:
     out = -acc
     memo[c] = out
     return out
+
+
+def induced_morphism(chi: morphisms.Character, e) -> Element:
+    """The character-induced morphism by its defining per-profile formula.
+
+    Expands the rank-m iterated *reduced* coproduct through its first
+    factor for m = 1, 2, ... until it runs dry (a key of rank m has weight
+    at least m).  Every factor of a key has positive weight, so the key's
+    weight profile is a composition alpha, and the key adds its coefficient
+    times chi of each factor to [alpha].  Expanding the full coproduct
+    instead gives the same sum: a key that holds a unit factor keeps one at
+    every later rank and never has such a profile.  The unit is its own
+    image.
+    """
+    e = as_element(e)
+
+    def ranks():
+        if UNIT in e._terms:
+            yield ((UNIT, e._terms[UNIT]),), 1
+        terms = {(c,): q for c, q in e._terms.items() if c}
+        while terms:
+            # used up by linear_combination before ``terms`` moves on
+            yield (
+                (Composition(tuple(f.weight for f in key)), q * prod(map(chi.value, key)))
+                for key, q in terms.items()
+            ), 1
+            terms = _expand_first(terms, shuffle_algebra._reduced_coproduct_basis)
+
+    return Element._raw(linear_combination(ranks()))
 
 
 def _scaled_factorial(t: Fraction, max_weight: int) -> morphisms.Character:
@@ -364,37 +397,17 @@ def _check_lifted_commutativity(bound: int) -> str | None:
     return None
 
 
-def _expand_first(t: TensorElement, coprod) -> TensorElement:
-    out: dict = {}
-    for key, q in t._terms.items():
-        rest = key[1:]
-        for (u, v), w in coprod(Element.basis(key[0]))._terms.items():
-            k2 = (u, v) + rest
-            s = out.get(k2, 0) + q * w
-            if s:
-                out[k2] = s
-            else:
-                out.pop(k2, None)
-    return TensorElement._raw(t.rank + 1, out)
-
-
-def _expand_last(t: TensorElement, coprod) -> TensorElement:
-    out: dict = {}
-    for key, q in t._terms.items():
-        front = key[:-1]
-        for (u, v), w in coprod(Element.basis(key[-1]))._terms.items():
-            k2 = front + (u, v)
-            s = out.get(k2, 0) + q * w
-            if s:
-                out[k2] = s
-            else:
-                out.pop(k2, None)
-    return TensorElement._raw(t.rank + 1, out)
+def _expand_last(terms: dict, coprod) -> dict:
+    """``shuffle_algebra._expand_first`` mirrored onto the last factor."""
+    return linear_combination(
+        (((key[:-1] + uv, w) for uv, w in coprod(key[-1])._terms.items()), q)
+        for key, q in terms.items()
+    )
 
 
 def _check_coassociativity(bound: int, coprod) -> str | None:
     for c in compositions_up_to(bound):
-        d = coprod(Element.basis(c))
+        d = coprod(c)._terms
         if _expand_first(d, coprod) != _expand_last(d, coprod):
             return f"coassociativity fails at {c}"
     return None
@@ -555,7 +568,7 @@ _GOLDEN_IMAGES: list[tuple[tuple[int, ...], dict]] = [
 def _check_golden_values() -> str | None:
     chi = morphisms.factorial_character(6)
     for comp, image in _GOLDEN_IMAGES:
-        got = morphisms.induced_morphism(chi, Composition(comp))
+        got = induced_morphism(chi, Composition(comp))
         if got != Element(image):
             return f"induced morphism of {Composition(comp)} is {got}"
     return None
@@ -580,21 +593,18 @@ def _check_coalgebra_map(bound: int, chi: morphisms.Character) -> str | None:
     psi = morphisms.induced_morphism_fast
     for c in compositions_up_to(bound):
         rhs = quasi_shuffle.coproduct(psi(chi, Element.basis(c)))
-        out: dict = {}
-        for (u, v), q in shuffle_algebra.coproduct(c)._terms.items():
-            pu = psi(chi, Element.basis(u))
-            pv = psi(chi, Element.basis(v))
-            for cu, qu in pu._terms.items():
-                for cv, qv in pv._terms.items():
-                    key = (cu, cv)
-                    sval = out.get(key, 0) + q * qu * qv
-                    if sval:
-                        out[key] = sval
-                    else:
-                        out.pop(key, None)
-        if TensorElement._raw(2, out) != rhs:
+        lhs = linear_combination(
+            (_tensor_terms(psi(chi, Element.basis(u)), psi(chi, Element.basis(v))), q)
+            for (u, v), q in shuffle_algebra.coproduct(c)._terms.items()
+        )
+        if TensorElement._raw(2, lhs) != rhs:
             return f"morphism is not a coalgebra map at {c}"
     return None
+
+
+def _tensor_terms(x: Element, y: Element) -> list:
+    """The terms of x (x) y."""
+    return [((a, b), p * q) for a, p in x._terms.items() for b, q in y._terms.items()]
 
 
 def _check_antipode_intertwine(bound: int, chi: morphisms.Character) -> str | None:
@@ -632,7 +642,7 @@ def _check_degree_preservation(bound: int, chi: morphisms.Character) -> str | No
 
 def _check_route_agreement(bound: int, chi: morphisms.Character) -> str | None:
     for c in compositions_up_to(bound):
-        slow = morphisms.induced_morphism(chi, Element.basis(c))
+        slow = induced_morphism(chi, Element.basis(c))
         fast = morphisms.induced_morphism_fast(chi, Element.basis(c))
         if slow != fast:
             return f"morphism routes disagree at {c}"
@@ -728,7 +738,7 @@ def _check_inversion_identity(bound: int, chi: morphisms.Character) -> str | Non
     for n in range(1, bound + 1):
         for c in enumerate_basis(n):
             e = Element.basis(c)
-            back = morphisms.preimage(chi, morphisms.induced_morphism(chi, e))
+            back = morphisms.preimage(chi, induced_morphism(chi, e))
             if back != e:
                 return f"preimage(morphism({c})) = {back}"
     return None

@@ -17,7 +17,6 @@ from mzhopf.morphisms import (
     Character,
     SingularCharacterError,
     factorial_character,
-    induced_morphism,
     induced_morphism_fast,
     morphism_matrix,
     preimage,
@@ -25,6 +24,7 @@ from mzhopf.morphisms import (
 )
 from mzhopf.numeric import DEFAULT_CONFIG, double_shuffle_residual
 from mzhopf.quasi_shuffle import canonical_character
+from mzhopf.verify import induced_morphism
 
 F = Fraction
 

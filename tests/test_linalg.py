@@ -14,7 +14,7 @@ from mzhopf.elements import (
     component_weights,
     componentwise_product,
     graded_component,
-    tensor_project,
+    linear_combination,
 )
 from mzhopf.morphisms import factorial_character, induced_morphism_fast
 from mzhopf.quasi_shuffle import stuffle
@@ -150,16 +150,26 @@ def test_tensor_str():
     assert str(t) == "2*[2](x)1"
 
 
-def test_tensor_project_keeps_matching_profiles():
-    t = TensorElement(2, {((2,), (1,)): 1, ((1,), (1, 1)): 3, ((1, 1), (1,)): 5})
-    got = tensor_project(t, (2, 1))
-    assert got == TensorElement(2, {((2,), (1,)): 1, ((1, 1), (1,)): 5})
+def test_linear_combination_cancels_then_reappears():
+    parts = [([("a", 1), ("b", 2)], 1), ([("a", -1)], 1), ([("a", Fraction(1, 2))], 1)]
+    assert linear_combination(parts) == {"a": Fraction(1, 2), "b": 2}
+    # a key that cancels for good is dropped
+    assert linear_combination([([("a", 3), ("a", -3), ("b", 1)], 1)]) == {"b": 1}
 
 
-def test_tensor_project_rank_mismatch_message():
-    t = TensorElement(2, {((2,), (1,)): 1})
-    with pytest.raises(ValueError, match="rank mismatch"):
-        tensor_project(t, (2,))
+def test_linear_combination_scaled_and_unscaled_parts():
+    parts = [([("a", 1), ("b", Fraction(1, 3))], 1), ([("a", 2), ("c", 1)], Fraction(-1, 2))]
+    assert linear_combination(parts) == {"b": Fraction(1, 3), "c": Fraction(-1, 2)}
+    assert linear_combination([([("a", 5)], 0)]) == {}
+
+
+def test_linear_combination_generator_parts_and_empty_input():
+    # each generator part reads the loop variable of the generator of parts,
+    # so the parts must be used up one at a time
+    parts = ((((key, i) for key in "ab"), i) for i in range(1, 4))
+    assert linear_combination(parts) == {"a": 14, "b": 14}
+    assert linear_combination([]) == {}
+    assert linear_combination(iter([([], 7)])) == {}
 
 
 def test_componentwise_product_bilinear():

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from fractions import Fraction
@@ -13,16 +14,15 @@ from mzhopf.morphisms import (
     InvalidCharacterError,
     SingularCharacterError,
     factorial_character,
-    induced_morphism,
     induced_morphism_fast,
     morphism_matrix,
     preimage,
-    projected_character,
     read_character_file,
     validate_character,
 )
 from mzhopf.quasi_shuffle import canonical_character, stuffle
-from mzhopf.shuffle_algebra import shuffle
+from mzhopf.shuffle_algebra import iterated_coproduct, shuffle
+from mzhopf.verify import induced_morphism
 
 
 F = Fraction
@@ -137,6 +137,26 @@ def test_morphism_routes_agree_up_to_weight_six():
             assert induced_morphism(chi, e) == induced_morphism_fast(chi, e)
 
 
+@pytest.mark.parametrize("convolved", [False, True], ids=["factorial", "convolved"])
+def test_pruned_oracle_matches_unpruned_expansion_to_weight_seven(convolved):
+    # the unpruned side expands the full iterated coproduct, unit factors
+    # included, and drops the keys whose weight profile contains a zero
+    chi = verify._random_characters(7)[1] if convolved else factorial_character(7)
+    for c in compositions_up_to(7):
+        if not c:
+            continue
+        unpruned = {}
+        for m in range(1, c.weight + 1):
+            for key, q in iterated_coproduct(m, c)._terms.items():
+                profile = tuple(f.weight for f in key)
+                if 0 in profile:
+                    continue
+                for f in key:
+                    q *= chi.value(f)
+                unpruned[profile] = unpruned.get(profile, 0) + q
+        assert induced_morphism(chi, Element.basis(c)) == Element(unpruned)
+
+
 def test_repeated_morphism_calls_return_equal_unshared_results():
     chi = factorial_character(6)
     e = Element.basis((1, 2, 1, 1))
@@ -165,13 +185,6 @@ def test_canonical_character_recovers_chi():
     for c in compositions_up_to(5):
         got = canonical_character(induced_morphism_fast(chi, Element.basis(c)))
         assert got == chi.value(c)
-
-
-def test_projected_character_single_profile():
-    chi = factorial_character(4)
-    # depth-1 profile picks out the weight component itself
-    assert projected_character(chi, (2,), Element.basis((1, 1))) == F(1, 2)
-    assert projected_character(chi, (1, 1), Element.basis((1, 1))) == 1
 
 
 def test_morphism_of_unit_and_zero():
@@ -256,6 +269,19 @@ def test_matrix_csv_and_table():
     assert lines[1].split(",") == ["1/2", "1/2"]
     table = m.to_table()
     assert "[1,1]" in table and "1/2" in table
+
+
+def test_matrices_do_not_keep_dropped_characters_alive():
+    def live_characters():
+        gc.collect()
+        return sum(type(o) is Character for o in gc.get_objects())
+
+    before = live_characters()
+    for _ in range(5):
+        chi = factorial_character(7)
+        assert morphism_matrix(chi, 7).dimension == 64
+        del chi
+    assert live_characters() == before
 
 
 def test_matrix_requires_covered_weight():
