@@ -30,28 +30,21 @@ import sys
 from dataclasses import asdict
 
 from . import morphisms, numeric, quasi_shuffle, shuffle_algebra, verify
-from .compositions import Composition, WeightMismatchError, WordDecodeError
+from .compositions import Composition
 from .elements import Element, TensorElement
 from .expressions import ExpressionSyntaxError, evaluate_expression
-from .numeric import DivergentTermError, TruncationConfig
-from .shuffle_algebra import UnitTermError
+from .numeric import TruncationConfig
 
 __all__ = ["main", "entry"]
 
 
-def _element_json(e: Element) -> str:
-    return json.dumps({"kind": "element", "terms": e.to_records()})
-
-def _tensor_json(t: TensorElement) -> str:
-    return json.dumps({"kind": "tensor", "rank": t.rank, "terms": t.to_records()})
-
-
-def _emit_element(e: Element, fmt: str) -> None:
-    print(_element_json(e) if fmt == "json" else str(e))
-
-
-def _emit_tensor(t: TensorElement, fmt: str) -> None:
-    print(_tensor_json(t) if fmt == "json" else str(t))
+def _emit(x: Element | TensorElement, fmt: str) -> None:
+    if fmt != "json":
+        print(x)
+    elif isinstance(x, TensorElement):
+        print(json.dumps({"kind": "tensor", "rank": x.rank, "terms": x.to_records()}))
+    else:
+        print(json.dumps({"kind": "element", "terms": x.to_records()}))
 
 
 def _parse_composition_arg(text: str) -> Composition:
@@ -101,41 +94,33 @@ def _add_character_options(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_eval(args) -> int:
-    _emit_element(evaluate_expression(args.expr), args.format)
+    _emit(evaluate_expression(args.expr), args.format)
     return 0
 
 
 def _cmd_coprod(args) -> int:
-    e = evaluate_expression(args.expr)
-    if args.side == "shuffle":
-        t = shuffle_algebra.coproduct(e)
-    else:
-        t = quasi_shuffle.coproduct(e)
-    _emit_tensor(t, args.format)
+    side = shuffle_algebra if args.side == "shuffle" else quasi_shuffle
+    _emit(side.coproduct(evaluate_expression(args.expr)), args.format)
     return 0
 
 
 def _cmd_antipode(args) -> int:
-    e = evaluate_expression(args.expr)
-    if args.algebra == "shuffle":
-        out = shuffle_algebra.antipode(e)
-    else:
-        out = quasi_shuffle.antipode(e)
-    _emit_element(out, args.format)
+    algebra = shuffle_algebra if args.algebra == "shuffle" else quasi_shuffle
+    _emit(algebra.antipode(evaluate_expression(args.expr)), args.format)
     return 0
 
 
 def _cmd_psi(args) -> int:
     chi = _load_character(args)
     e = evaluate_expression(args.expr)
-    _emit_element(morphisms.induced_morphism_fast(chi, e), args.format)
+    _emit(morphisms.induced_morphism_fast(chi, e), args.format)
     return 0
 
 
 def _cmd_psi_inv(args) -> int:
     chi = _load_character(args)
     e = evaluate_expression(args.expr)
-    _emit_element(morphisms.preimage(chi, e), args.format)
+    _emit(morphisms.preimage(chi, e), args.format)
     return 0
 
 
@@ -267,6 +252,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The first entry that matches wins, so each subclass comes before its base.
+# Every domain error (bad composition or word, divergent series, unit term)
+# is a ValueError, and so are the first three entries; CoverageError is not.
+_EXIT_CODES = {
+    ExpressionSyntaxError: 3,
+    morphisms.SingularCharacterError: 6,
+    morphisms.InvalidCharacterError: 8,
+    morphisms.CoverageError: 5,
+    ValueError: 4,
+    OSError: 9,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -275,30 +273,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ExpressionSyntaxError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except morphisms.SingularCharacterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except morphisms.InvalidCharacterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 8
-    except morphisms.CoverageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (
-        WeightMismatchError,
-        WordDecodeError,
-        UnitTermError,
-        DivergentTermError,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 9
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def entry() -> None:

@@ -1,10 +1,11 @@
 """Sparse exact-rational linear combinations of compositions and tensors.
 
-:class:`Element` is a finite rational linear combination of compositions; the
-zero element is the empty combination and the algebra unit ``1`` is the basis
-element at the empty composition.  :class:`TensorElement` is the analogous
-combination of rank-``m`` pure tensors of compositions.  All arithmetic is
-exact; floating point coefficients are rejected.
+Both are one data shape, a dict from key to nonzero exact coefficient, and
+one private core holds their arithmetic, comparison and output.  Two sibling
+classes give the key: :class:`Element` a composition (its zero is the empty
+combination, its unit ``1`` the basis element at the empty composition),
+:class:`TensorElement` a rank-``m`` tuple of compositions, so a tensor is
+never an ``Element``.  All arithmetic is exact; floats are rejected.
 
 Internally coefficients are stored as ``int`` when integral and
 :class:`fractions.Fraction` otherwise.  Reading accessors always hand back
@@ -20,6 +21,11 @@ from fractions import Fraction
 from typing import Callable, Mapping, Union
 
 from .compositions import Composition, UNIT, serial_key
+
+__all__ = [
+    "Rational", "coerce_coeff", "Element", "TensorElement", "as_element",
+    "graded_component", "component_weights", "componentwise_product",
+]
 
 Rational = Union[int, Fraction]
 
@@ -70,38 +76,137 @@ def linear_combination(parts) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _signed_join(pieces) -> str:
-    """``(body, coefficient)`` pairs as ``"a - 2*b + 1/3*c"``."""
-    chunks: list[str] = []
-    for body, v in pieces:
-        mag = abs(v)
-        piece = body if mag == 1 else f"{mag}*{body}"
-        if not chunks:
-            chunks.append(piece if v > 0 else "-" + piece)
-        else:
-            chunks.append(("+ " if v > 0 else "- ") + piece)
-    return " ".join(chunks)
+class _SparseCombination:
+    """The core that :class:`Element` and :class:`TensorElement` share.
 
-
-class Element:
-    """Finite rational linear combination of compositions."""
+    A subclass gives the shape of one key: ``_lookup_key`` converts it,
+    ``_key`` converts and validates it, ``_sort_key``, ``_key_text`` and
+    ``_key_record`` order and render it, ``_zero_text`` renders no terms,
+    ``_like`` wraps trusted terms in the same class and rank, and ``_rank`` is
+    the tensor rank that two operands must share.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         items = terms.items() if isinstance(terms, Mapping) else terms or ()
+        key = self._key
         self._terms = linear_combination(
-            [(((Composition(k), coerce_coeff(v)) for k, v in items), 1)]
+            [(((key(k), coerce_coeff(v)) for k, v in items), 1)]
         )
 
-    # -- construction ------------------------------------------------------
+    def _require_same_rank(self, other) -> None:
+        if self._rank != other._rank:
+            raise ValueError(f"rank mismatch: {self._rank} vs {other._rank}")
+
+    # -- access ------------------------------------------------------------
+
+    def coefficient(self, key) -> Fraction:
+        # not validated: a tensor key of another rank has coefficient 0
+        return Fraction(self._terms.get(self._lookup_key(key), 0))
+
+    def terms(self) -> list[tuple]:
+        """(key, coefficient) pairs in the canonical serialization order."""
+        sort_key = self._sort_key
+        return [
+            (k, Fraction(v))
+            for k, v in sorted(self._terms.items(), key=lambda kv: sort_key(kv[0]))
+        ]
+
+    def __len__(self) -> int:  # also the truth value: nonzero iff any term
+        return len(self._terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, type(self)):
+            return self._rank == other._rank and self._terms == other._terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self._rank, frozenset(self._terms.items())))
+
+    # -- linear structure --------------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_same_rank(other)
+        return self._like(
+            linear_combination(((self._terms.items(), 1), (other._terms.items(), 1)))
+        )
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self._terms.items()})
+
+    def scaled(self, scalar):
+        q = coerce_coeff(scalar)
+        if not q:
+            return self._like({})
+        return self._like({k: v * q for k, v in self._terms.items()})
+
+    def __mul__(self, scalar):
+        return self.scaled(scalar)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        return self.scaled(Fraction(1, 1) / coerce_coeff(scalar))
+
+    # -- output ------------------------------------------------------------
+
+    def to_records(self) -> list[dict]:
+        """JSON-ready serialization: [{"coeff": "p/q", "comp": ...}, ...]."""
+        record = self._key_record
+        return [{"coeff": str(v), "comp": record(k)} for k, v in self.terms()]
+
+    def __str__(self) -> str:
+        """Canonical text form, signed terms such as ``1/2*[2] - [1,1]``."""
+        if not self._terms:
+            return self._zero_text
+        chunks: list[str] = []
+        for k, v in self.terms():
+            body = self._key_text(k)
+            mag = abs(v)
+            piece = body if mag == 1 else f"{mag}*{body}"
+            if not chunks:
+                chunks.append(piece if v > 0 else "-" + piece)
+            else:
+                chunks.append(("+ " if v > 0 else "- ") + piece)
+        return " ".join(chunks)
+
+
+class Element(_SparseCombination):
+    """Finite rational linear combination of compositions; its text form
+    parses back through the expression grammar."""
+
+    __slots__ = ()
+    _rank = None  # keys are bare compositions, so there is no rank to match
+    _zero_text = "0*1"
+    _key = _lookup_key = staticmethod(Composition)
+    _sort_key = staticmethod(serial_key)
+    _key_text = staticmethod(str)
+    _key_record = staticmethod(list)
+
+    # bound here, not just inherited: perfbench/tracing.py wraps them through
+    # Element.__dict__, and a class that binds __eq__ must bind __hash__ too
+    __add__ = _SparseCombination.__add__
+    __sub__ = _SparseCombination.__sub__
+    __neg__ = _SparseCombination.__neg__
+    __mul__ = _SparseCombination.__mul__
+    __rmul__ = _SparseCombination.__rmul__
+    scaled = _SparseCombination.scaled
+    __truediv__ = _SparseCombination.__truediv__
+    __eq__ = _SparseCombination.__eq__
+    __hash__ = _SparseCombination.__hash__
 
     @classmethod
     def basis(cls, c, coeff=1) -> "Element":
-        e = cls.__new__(cls)
         v = coerce_coeff(coeff)
-        e._terms = {Composition(c): v} if v else {}
-        return e
+        return cls._raw({Composition(c): v} if v else {})
 
     @classmethod
     def unit(cls) -> "Element":
@@ -118,17 +223,7 @@ class Element:
         e._terms = terms
         return e
 
-    # -- access ------------------------------------------------------------
-
-    def coefficient(self, c) -> Fraction:
-        return Fraction(self._terms.get(Composition(c), 0))
-
-    def terms(self) -> list[tuple[Composition, Fraction]]:
-        """(composition, coefficient) pairs in the canonical serialization order."""
-        return [
-            (c, Fraction(v))
-            for c, v in sorted(self._terms.items(), key=lambda kv: serial_key(kv[0]))
-        ]
+    _like = _raw
 
     def support(self) -> list[Composition]:
         return [c for c, _ in self.terms()]
@@ -137,96 +232,27 @@ class Element:
         """Largest weight appearing in the support; 0 for the zero element."""
         return max((c.weight for c in self._terms), default=0)
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Element):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    # -- linear structure --------------------------------------------------
-
-    def __add__(self, other) -> "Element":
-        if not isinstance(other, Element):
-            return NotImplemented
-        return Element._raw(
-            linear_combination(((self._terms.items(), 1), (other._terms.items(), 1)))
-        )
-
-    def __sub__(self, other) -> "Element":
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "Element":
-        return Element._raw({c: -v for c, v in self._terms.items()})
-
-    def scaled(self, scalar) -> "Element":
-        q = coerce_coeff(scalar)
-        if not q:
-            return Element()
-        return Element._raw({c: v * q for c, v in self._terms.items()})
-
-    def __mul__(self, scalar) -> "Element":
-        return self.scaled(scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "Element":
-        return self.scaled(Fraction(1, 1) / coerce_coeff(scalar))
-
     def map_basis(self, fn: Callable[[Composition], "Element"]) -> "Element":
         """Linear extension of a basis map fn: Composition -> Element."""
         return Element._raw(
             linear_combination((fn(c)._terms.items(), q) for c, q in self._terms.items())
         )
 
-    # -- output ------------------------------------------------------------
-
-    def to_records(self) -> list[dict]:
-        """JSON-ready serialization: [{"coeff": "p/q", "comp": [ints]}, ...]."""
-        return [
-            {"coeff": str(v), "comp": list(c)}
-            for c, v in self.terms()
-        ]
-
-    def __str__(self) -> str:
-        """Canonical text form, parseable by the expression grammar."""
-        if not self._terms:
-            return "0*1"
-        return _signed_join((str(c) if c else "1", v) for c, v in self.terms())
-
     def __repr__(self) -> str:
         return f"Element({{{', '.join(f'{c}: {v}' for c, v in self.terms())}}})"
 
 
-class TensorElement:
+class TensorElement(_SparseCombination):
     """Finite rational linear combination of rank-``m`` pure tensors."""
 
-    __slots__ = ("_rank", "_terms")
+    __slots__ = ("_rank",)
+    _zero_text = "0"
 
     def __init__(self, rank: int, terms=None):
         if rank < 1:
             raise ValueError("tensor rank must be >= 1")
         self._rank = rank
-
-        def checked(key) -> tuple[Composition, ...]:
-            k = tuple(Composition(f) for f in key)
-            if len(k) != rank:
-                raise ValueError(f"key {k} has rank {len(k)}, expected {rank}")
-            return k
-
-        items = terms.items() if isinstance(terms, Mapping) else terms or ()
-        self._terms = linear_combination(
-            [(((checked(k), coerce_coeff(v)) for k, v in items), 1)]
-        )
+        super().__init__(terms)
 
     @classmethod
     def basis(cls, factors, coeff=1) -> "TensorElement":
@@ -240,84 +266,34 @@ class TensorElement:
         t._terms = terms
         return t
 
+    def _like(self, terms: dict) -> "TensorElement":
+        return TensorElement._raw(self._rank, terms)
+
     @property
     def rank(self) -> int:
         return self._rank
 
-    def coefficient(self, factors) -> Fraction:
-        key = tuple(Composition(f) for f in factors)
-        return Fraction(self._terms.get(key, 0))
+    @staticmethod
+    def _lookup_key(key) -> tuple[Composition, ...]:
+        return tuple(Composition(f) for f in key)
 
-    def terms(self) -> list[tuple[tuple[Composition, ...], Fraction]]:
-        return [
-            (k, Fraction(v))
-            for k, v in sorted(
-                self._terms.items(),
-                key=lambda kv: tuple(serial_key(f) for f in kv[0]),
-            )
-        ]
+    def _key(self, key) -> tuple[Composition, ...]:
+        k = self._lookup_key(key)
+        if len(k) != self._rank:
+            raise ValueError(f"key {k} has rank {len(k)}, expected {self._rank}")
+        return k
 
-    def __len__(self) -> int:
-        return len(self._terms)
+    @staticmethod
+    def _sort_key(k: tuple[Composition, ...]) -> tuple:
+        return tuple(serial_key(f) for f in k)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+    @staticmethod
+    def _key_text(k: tuple[Composition, ...]) -> str:
+        return "(x)".join(map(str, k))
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TensorElement):
-            return self._rank == other._rank and self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._rank, frozenset(self._terms.items())))
-
-    def _require_same_rank(self, other: "TensorElement"):
-        if self._rank != other._rank:
-            raise ValueError(f"rank mismatch: {self._rank} vs {other._rank}")
-
-    def __add__(self, other) -> "TensorElement":
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._require_same_rank(other)
-        return TensorElement._raw(
-            self._rank,
-            linear_combination(((self._terms.items(), 1), (other._terms.items(), 1))),
-        )
-
-    def __sub__(self, other) -> "TensorElement":
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement._raw(self._rank, {k: -v for k, v in self._terms.items()})
-
-    def scaled(self, scalar) -> "TensorElement":
-        q = coerce_coeff(scalar)
-        if not q:
-            return TensorElement(self._rank)
-        return TensorElement._raw(self._rank, {k: v * q for k, v in self._terms.items()})
-
-    def __mul__(self, scalar) -> "TensorElement":
-        return self.scaled(scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "TensorElement":
-        return self.scaled(Fraction(1, 1) / coerce_coeff(scalar))
-
-    def to_records(self) -> list[dict]:
-        return [
-            {"coeff": str(v), "comp": [list(f) for f in k]}
-            for k, v in self.terms()
-        ]
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return _signed_join(
-            ("(x)".join(str(f) if f else "1" for f in k), v) for k, v in self.terms()
-        )
+    @staticmethod
+    def _key_record(k: tuple[Composition, ...]) -> list:
+        return [list(f) for f in k]
 
     def __repr__(self) -> str:
         inner = ", ".join(

@@ -87,9 +87,23 @@ def test_division():
     assert e / 2 == Element.basis((2,), Fraction(3, 2))
 
 
+# a rank-3 tensor with unit factors and Fraction coefficients, and its terms
+# in canonical order: factor by factor, each weight-major
+TENSOR3 = {
+    ((2,), (), (1,)): Fraction(1, 2),
+    ((), (1,), ()): -3,
+    ((1,), (1, 1), ()): Fraction(-2, 3),
+    ((), (), ()): 1,
+}
+
+
 def test_terms_sorted_weight_major_then_order():
     e = Element({(1, 1): 1, (3,): 1, (2,): 1, (): 1, (2, 1): 1})
     assert [tuple(c) for c, _ in e.terms()] == [(), (2,), (1, 1), (3,), (2, 1)]
+    t = TensorElement(3, TENSOR3)
+    assert [tuple(map(tuple, k)) for k, _ in t.terms()] == [
+        ((), (), ()), ((), (1,), ()), ((1,), (1, 1), ()), ((2,), (), (1,)),
+    ]
 
 
 def test_to_records():
@@ -97,6 +111,12 @@ def test_to_records():
     assert e.to_records() == [
         {"coeff": "1/2", "comp": [2]},
         {"coeff": "-2", "comp": [1, 1]},
+    ]
+    assert TensorElement(3, TENSOR3).to_records() == [
+        {"coeff": "1", "comp": [[], [], []]},
+        {"coeff": "-3", "comp": [[], [1], []]},
+        {"coeff": "-2/3", "comp": [[1], [1, 1], []]},
+        {"coeff": "1/2", "comp": [[2], [], [1]]},
     ]
 
 
@@ -106,6 +126,8 @@ def test_str_forms():
     assert str(Element.basis((2,), -1)) == "-[2]"
     e = Element({(2,): Fraction(1, 2), (1, 1): -1})
     assert str(e) == "1/2*[2] - [1,1]"
+    assert repr(e + Element.unit()) == "Element({1: 1, [2]: 1/2, [1,1]: -1})"
+    assert repr(Element.zero()) == "Element({})"
 
 
 def test_map_basis_is_linear():
@@ -127,6 +149,24 @@ def test_element_hash_consistency():
     a = Element({(2,): Fraction(2, 1)})
     b = Element({(2,): 2})
     assert a == b and hash(a) == hash(b)
+    key = ((2,), (), (1, 1))
+    s = TensorElement(3, {key: Fraction(2, 1)})
+    t = TensorElement(3, {key: 2})
+    assert s == t and hash(s) == hash(t)
+    assert TensorElement(2) != TensorElement(3)
+
+
+def test_element_and_tensor_are_distinct_types():
+    e = Element.basis((2,))
+    t = TensorElement.basis([(2,)])
+    assert not isinstance(TensorElement(2), Element)
+    assert e != t and t != e
+    assert Element.zero() != TensorElement(1)
+    for x, y in ((e, t), (t, e)):
+        with pytest.raises(TypeError):
+            x + y
+        with pytest.raises(TypeError):
+            x - y
 
 
 def test_tensor_basics():
@@ -138,6 +178,7 @@ def test_tensor_basics():
         TensorElement(0)
     with pytest.raises(ValueError):
         TensorElement(2, {((2,),): 1})
+    assert t.coefficient(((2,),)) == 0  # a key of another rank
 
 
 def test_tensor_rank_mismatch_add():
@@ -148,6 +189,15 @@ def test_tensor_rank_mismatch_add():
 def test_tensor_str():
     t = TensorElement(2, {((2,), ()): 2})
     assert str(t) == "2*[2](x)1"
+    assert repr(t) == "TensorElement(rank=2, {([2], 1): 2})"
+    t3 = TensorElement(3, TENSOR3)
+    assert str(t3) == "1(x)1(x)1 - 3*1(x)[1](x)1 - 2/3*[1](x)[1,1](x)1 + 1/2*[2](x)1(x)[1]"
+    assert repr(t3) == (
+        "TensorElement(rank=3, {(1, 1, 1): 1, (1, [1], 1): -3, "
+        "([1], [1,1], 1): -2/3, ([2], 1, [1]): 1/2})"
+    )
+    assert str(TensorElement(3)) == "0"
+    assert repr(TensorElement(3)) == "TensorElement(rank=3, {})"
 
 
 def test_linear_combination_cancels_then_reappears():
@@ -155,6 +205,17 @@ def test_linear_combination_cancels_then_reappears():
     assert linear_combination(parts) == {"a": Fraction(1, 2), "b": 2}
     # a key that cancels for good is dropped
     assert linear_combination([([("a", 3), ("a", -3), ("b", 1)], 1)]) == {"b": 1}
+    # a leading unscaled dict is copied whole; later parts cancel two of its
+    # keys and bring one back, and the dict itself is left alone
+    base = {"a": 1, "b": Fraction(2, 3), "c": 5}
+    parts = [
+        (base.items(), 1),
+        ([("a", -1), ("b", Fraction(-2, 3))], 1),
+        ([("b", 3)], Fraction(1, 2)),
+        ([("d", 1), ("d", -1)], 1),
+    ]
+    assert linear_combination(parts) == {"b": Fraction(3, 2), "c": 5}
+    assert base == {"a": 1, "b": Fraction(2, 3), "c": 5}
 
 
 def test_linear_combination_scaled_and_unscaled_parts():
