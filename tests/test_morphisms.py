@@ -2,6 +2,7 @@ import gc
 import json
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -115,7 +116,16 @@ def test_single_parts_map_to_inverse_factorials():
     chi = factorial_character(8)
     for n in range(1, 8):
         img = induced_morphism(chi, Element.basis((n,)))
-        assert img == Element.basis((n,), F(1, __import__("math").factorial(n)))
+        assert img == Element.basis((n,), F(1, factorial(n)))
+
+
+def test_ones_map_to_hoffman_exponential_through_weight_twelve():
+    # psi([1^k]) = exp([1^k]) = sum over compositions I of k of [I] / prod(i_l!)
+    # (Hoffman, "Quasi-shuffle products", J. Algebraic Combin. 11, 2000)
+    chi = factorial_character(12)
+    for k in range(1, 13):
+        expected = Element({c: F(1, prod(map(factorial, c))) for c in enumerate_basis(k)})
+        assert induced_morphism_fast(chi, Element.basis((1,) * k)) == expected, k
 
 
 def _coprime_character(max_weight):

@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
+from mzhopf import cli
 from mzhopf.compositions import UNIT, Composition, compositions_up_to, enumerate_basis
 from mzhopf.elements import Element, TensorElement, componentwise_product
 from mzhopf.shuffle_algebra import (
@@ -148,9 +150,48 @@ def test_coproduct_of_ones_is_binomial_free_deconcatenation():
 
 
 def test_coproduct_coefficients_are_integers_through_weight_nine():
-    # the factorial denominator of the closed formula divides every coefficient
+    # structural: the closed form sums products of binomials and never divides
     for c in compositions_up_to(9):
         assert all(type(v) is int for v in _coproduct_basis(c)._terms.values()), c
+
+
+def _raising_chain_coproduct(c):
+    """coproduct(c) rebuilt from public names only: lift raise_part slot by
+    slot onto coproduct([1^k]), then divide by prod (s_i - 1)!."""
+    k = len(c)
+    t = T({((1,) * j, (1,) * (k - j)): 1 for j in range(k + 1)})
+    denom = 1
+    for i, s in enumerate(c, 1):
+        for _ in range(s - 1):
+            t = lifted_raise_part(i, t)
+        denom *= factorial(s - 1)
+    terms = {}
+    for key, v in t.terms():
+        q, r = divmod(v, denom)
+        assert r == 0, (c, key, v, denom)
+        terms[key] = q
+    return terms
+
+
+def test_closed_form_coproduct_matches_raising_chain_through_weight_ten():
+    # the bound may be raised, never lowered
+    for c in compositions_up_to(10):
+        assert _coproduct_basis(c)._terms == _raising_chain_coproduct(c), c
+
+
+def test_reduced_coproduct_of_a_deep_composition(capsys):
+    # one long prefix: a construction that recursed once per part would
+    # exceed Python's recursion limit here
+    c = Composition((1,) * 1200 + (2,))
+    d = reduced_coproduct(c)
+    assert len(d) == 2400
+    expected = _raising_chain_coproduct(c)
+    del expected[UNIT, c], expected[c, UNIT]
+    assert d._terms == expected
+    code = cli.main(["coprod", str(c)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert len(doc["terms"]) == 2402
 
 
 def test_single_part_compositions_are_primitive():
