@@ -7,17 +7,21 @@ combination, its unit ``1`` the basis element at the empty composition),
 :class:`TensorElement` a rank-``m`` tuple of compositions, so a tensor is
 never an ``Element``.  All arithmetic is exact; floats are rejected.
 
-Internally coefficients are stored as ``int`` when integral and
-:class:`fractions.Fraction` otherwise.  Reading accessors always hand back
-``Fraction``.  Both classes are immutable once built, so values can be shared
-and memoized freely; term iteration is in the weight-major canonical order so
-serialized output is reproducible.
+Internally coefficients are stored as ``int`` or
+:class:`fractions.Fraction`.  The shuffle and stuffle products and the
+images of ``psi`` are summed by :func:`scaled_sum` and hold an ``int``
+whenever a coefficient is integral; other sums may hold a ``Fraction`` with
+denominator 1 (``1/2*[1] + 1/2*[1]`` stores ``Fraction(1, 1)``).  Reading
+accessors always hand back ``Fraction``.  Both classes are immutable once
+built, so values can be shared and memoized freely; term iteration is in the
+weight-major canonical order so serialized output is reproducible.
 """
 
 from __future__ import annotations
 
 import numbers
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping, Union
 
 from .compositions import Composition, UNIT, serial_key
@@ -74,6 +78,33 @@ def linear_combination(parts) -> dict:
     if all(out.values()):
         return out
     return {k: v for k, v in out.items() if v}
+
+
+def scaled_sum(parts) -> dict:
+    """Sparse sum of integer parts under exact rational scales.
+
+    Each item of ``parts`` is a pair ``(pairs, q)`` whose ``pairs`` hold
+    ``int`` values and whose scale ``q`` is an ``int`` or ``Fraction``.  The
+    result equals ``linear_combination(parts)``, but the sum is taken in
+    plain integers over ``den``, the lcm of the scales' denominators, and
+    each nonzero coefficient is made exact once: an ``int`` when it is
+    integral, a reduced ``Fraction`` otherwise.  The parts are read into a
+    list first, so their ``pairs`` must not depend on the loop that makes
+    them.
+    """
+    parts = list(parts)
+    den = lcm(*[q.denominator for _, q in parts])
+    out: dict = {}
+    get = out.get
+    for pairs, q in parts:
+        f = q.numerator * (den // q.denominator)
+        for key, n in pairs:
+            out[key] = get(key, 0) + f * n
+    if den == 1:
+        return out if all(out.values()) else {k: n for k, n in out.items() if n}
+    # numerators repeat, so each distinct one is made exact only once
+    exact = {n: Fraction(n, den) if n % den else n // den for n in set(out.values()) if n}
+    return {k: exact[n] for k, n in out.items() if n}
 
 
 class _SparseCombination:

@@ -43,7 +43,14 @@ from math import factorial, gcd, lcm
 from typing import Callable, Mapping
 
 from .compositions import UNIT, Composition, enumerate_basis
-from .elements import Element, Rational, as_element, coerce_coeff, component_weights
+from .elements import (
+    Element,
+    Rational,
+    as_element,
+    coerce_coeff,
+    component_weights,
+    scaled_sum,
+)
 from . import shuffle_algebra
 
 _new = tuple.__new__
@@ -224,23 +231,11 @@ def induced_morphism_fast(chi: Character, e) -> Element:
     ``preimage``.  The image is summed as integers over one common
     denominator, and each of its coefficients is made exact once.
     """
-    terms = as_element(e)._terms
-    den = 1
-    for c, q in terms.items():
-        den = lcm(den, q.denominator * _psi_column(chi, c)[0])
-    out: dict[Composition, int] = {}
-    for c, q in terms.items():
-        cden, nums = _psi_column(chi, c)
-        f = q.numerator * (den // (q.denominator * cden))
-        for d, n in nums.items():
-            out[d] = out.get(d, 0) + f * n
-    return Element._raw({d: _ratio(n, den) for d, n in out.items() if n})
-
-
-def _ratio(n: int, den: int) -> Rational:
-    """The exact coefficient n/den, as ``int`` when it is integral."""
-    q, r = divmod(n, den)
-    return Fraction(n, den) if r else q
+    parts = []
+    for c, q in as_element(e)._terms.items():
+        den, nums = _psi_column(chi, c)
+        parts.append((nums.items(), Fraction(q, den)))
+    return Element._raw(scaled_sum(parts))
 
 
 def _psi_column(chi: Character, c: Composition) -> Column:

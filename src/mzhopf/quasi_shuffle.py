@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .compositions import UNIT, Composition, coarsenings
-from .elements import Element, TensorElement, as_element, linear_combination
+from .elements import Element, TensorElement, as_element, linear_combination, scaled_sum
 
 __all__ = [
     "stuffle",
@@ -61,7 +61,7 @@ def stuffle(a, b) -> Element:
     """Bilinear stuffle (quasi-shuffle) product; compositions are promoted."""
     b_terms = as_element(b)._terms.items()
     return Element._raw(
-        linear_combination(
+        scaled_sum(
             (_stuffle_basis(c1, c2), q1 * q2)
             for c1, q1 in as_element(a)._terms.items()
             for c2, q2 in b_terms

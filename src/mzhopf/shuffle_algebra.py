@@ -41,7 +41,14 @@ from .compositions import (
     decode_word,
     encode_word,
 )
-from .elements import Element, Rational, TensorElement, as_element, linear_combination
+from .elements import (
+    Element,
+    Rational,
+    TensorElement,
+    as_element,
+    linear_combination,
+    scaled_sum,
+)
 
 __all__ = [
     "UnitTermError",
@@ -101,7 +108,7 @@ def shuffle(a, b) -> Element:
     left = [(encode_word(c), q) for c, q in as_element(a)._terms.items()]
     right = [(encode_word(c), q) for c, q in as_element(b)._terms.items()]
     # summed by word, so each distinct output word is decoded once
-    by_word = linear_combination(
+    by_word = scaled_sum(
         (_word_pair(u, v), p * q) for u, p in left for v, q in right
     )
     return Element._raw({decode_word(w): q for w, q in by_word.items()})

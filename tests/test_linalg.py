@@ -15,6 +15,7 @@ from mzhopf.elements import (
     componentwise_product,
     graded_component,
     linear_combination,
+    scaled_sum,
 )
 from mzhopf.morphisms import factorial_character, induced_morphism_fast
 from mzhopf.quasi_shuffle import stuffle
@@ -231,6 +232,62 @@ def test_linear_combination_generator_parts_and_empty_input():
     assert linear_combination(parts) == {"a": 14, "b": 14}
     assert linear_combination([]) == {}
     assert linear_combination(iter([([], 7)])) == {}
+
+
+# integer parts over a few keys, so sums collide and cancel; scales have
+# denominators 1-12 (4 and 6, 8 and 12, ... share factors), either sign, and
+# are sometimes plain ints
+int_pairs = st.lists(st.tuples(st.sampled_from("abcd"), st.integers(-4, 4)), max_size=6)
+scales = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+)
+
+
+def _fraction_reference(parts) -> dict:
+    out: dict = {}
+    for pairs, q in parts:
+        for key, n in pairs:
+            out[key] = out.get(key, Fraction(0)) + Fraction(q) * n
+    return {k: v for k, v in out.items() if v}
+
+
+def _assert_exact_and_nonzero(terms: dict) -> None:
+    for v in terms.values():
+        assert v != 0
+        assert type(v) is (int if v.denominator == 1 else Fraction)
+
+
+@given(st.lists(st.tuples(int_pairs, scales), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_scaled_sum_matches_term_by_term_fraction_sum(parts):
+    got = scaled_sum(parts)
+    assert got == _fraction_reference(parts)
+    _assert_exact_and_nonzero(got)
+
+
+@given(st.lists(st.tuples(int_pairs, st.integers(-6, 6)), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_scaled_sum_with_integer_scales(parts):
+    got = scaled_sum(parts)
+    assert got == _fraction_reference(parts)
+    _assert_exact_and_nonzero(got)
+
+
+def test_scaled_sum_examples():
+    assert scaled_sum([]) == {}
+    assert scaled_sum(iter([([], Fraction(1, 7))])) == {}
+    # 1/4 + 1/6 over den 12; b cancels to zero across unequal denominators
+    parts = [
+        ([("a", 1)], Fraction(1, 4)),
+        ([("a", 1), ("b", 3)], Fraction(1, 6)),
+        ([("b", -1)], Fraction(1, 2)),
+    ]
+    assert scaled_sum(parts) == {"a": Fraction(5, 12)}
+    # an integral sum of fractional parts comes back as an int
+    got = scaled_sum([([("a", 3)], Fraction(-1, 4)), ([("a", 1), ("c", 2)], Fraction(-1, 4))])
+    assert got == {"a": -1, "c": Fraction(-1, 2)} and type(got["a"]) is int
+    assert scaled_sum([({"a": 2, "b": 1}.items(), 0), ([("b", 5)], 1)]) == {"b": 5}
 
 
 def test_componentwise_product_bilinear():

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzhopf import cli, verify
 from mzhopf.compositions import Composition, UNIT, compositions_up_to, enumerate_basis
@@ -176,6 +178,23 @@ def test_repeated_morphism_calls_return_equal_unshared_results():
     assert first._terms is not second._terms
     first._terms.clear()
     assert induced_morphism_fast(chi, e) == second
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from(list(compositions_up_to(8))),
+        st.fractions(-5, 5, max_denominator=12).filter(bool),
+        min_size=1,
+        max_size=5,
+    ).map(Element)
+)
+@settings(max_examples=60, deadline=None)
+def test_morphism_of_a_rational_sum_is_the_scaled_sum_of_columns(e):
+    chi = factorial_character(8)
+    expected = Element.zero()
+    for c, q in e.terms():
+        expected = expected + induced_morphism_fast(chi, Element.basis(c)).scaled(q)
+    assert induced_morphism_fast(chi, e) == expected
 
 
 def test_morphism_is_algebra_map_spot():

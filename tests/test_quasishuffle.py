@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from mzhopf.compositions import UNIT, Composition, compositions_up_to, enumerate_basis
 from mzhopf.elements import Element, TensorElement, componentwise_product
 from mzhopf.quasi_shuffle import (
@@ -33,6 +36,34 @@ def test_stuffle_commutative_associative_sample():
             assert stuffle(a, b) == stuffle(b, a)
             for c in xs:
                 assert stuffle(stuffle(a, b), c) == stuffle(a, stuffle(b, c))
+
+
+def _rational_sums(max_weight):
+    """Sums of 1-5 compositions of weight <= max_weight with nonzero rational
+    scalars whose denominators run up to 12."""
+    return st.dictionaries(
+        st.sampled_from(list(compositions_up_to(max_weight))),
+        st.fractions(-5, 5, max_denominator=12).filter(bool),
+        min_size=1,
+        max_size=5,
+    ).map(Element)
+
+
+# operand pairs of total weight <= 8
+operand_pairs = st.integers(1, 7).flatmap(
+    lambda w: st.tuples(_rational_sums(w), _rational_sums(8 - w))
+)
+
+
+@given(operand_pairs)
+@settings(max_examples=60, deadline=None)
+def test_stuffle_of_rational_sums_is_the_scaled_sum_of_basis_products(ab):
+    a, b = ab
+    expected = Element.zero()
+    for c1, q1 in a.terms():
+        for c2, q2 in b.terms():
+            expected = expected + stuffle(Element.basis(c1), Element.basis(c2)).scaled(q1 * q2)
+    assert stuffle(a, b) == expected
 
 
 def test_stuffle_depth_one_term_count():

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzhopf import cli
 from mzhopf.compositions import UNIT, Composition, compositions_up_to, enumerate_basis
@@ -60,6 +62,34 @@ def test_shuffle_bilinear():
     a = Element({(1,): 2, (2,): -1})
     b = Element.basis((1,))
     expected = 2 * shuffle((1,), (1,)) - shuffle((2,), (1,))
+    assert shuffle(a, b) == expected
+
+
+def _rational_sums(max_weight):
+    """Sums of 1-5 compositions of weight <= max_weight with nonzero rational
+    scalars whose denominators run up to 12."""
+    return st.dictionaries(
+        st.sampled_from(list(compositions_up_to(max_weight))),
+        st.fractions(-5, 5, max_denominator=12).filter(bool),
+        min_size=1,
+        max_size=5,
+    ).map(Element)
+
+
+# operand pairs of total weight <= 8
+operand_pairs = st.integers(1, 7).flatmap(
+    lambda w: st.tuples(_rational_sums(w), _rational_sums(8 - w))
+)
+
+
+@given(operand_pairs)
+@settings(max_examples=60, deadline=None)
+def test_shuffle_of_rational_sums_is_the_scaled_sum_of_basis_products(ab):
+    a, b = ab
+    expected = Element.zero()
+    for c1, q1 in a.terms():
+        for c2, q2 in b.terms():
+            expected = expected + shuffle(Element.basis(c1), Element.basis(c2)).scaled(q1 * q2)
     assert shuffle(a, b) == expected
 
 
