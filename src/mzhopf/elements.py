@@ -80,27 +80,35 @@ def linear_combination(parts) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def scaled_sum(parts) -> dict:
-    """Sparse sum of integer parts under exact rational scales.
+def common_denominator(items) -> tuple[int, list]:
+    """``(den, [(key, q * den), ...])`` for the ``(key, q)`` in ``items``.
 
-    Each item of ``parts`` is a pair ``(pairs, q)`` whose ``pairs`` hold
-    ``int`` values and whose scale ``q`` is an ``int`` or ``Fraction``.  The
-    result equals ``linear_combination(parts)``, but the sum is taken in
-    plain integers over ``den``, the lcm of the scales' denominators, and
-    each nonzero coefficient is made exact once: an ``int`` when it is
-    integral, a reduced ``Fraction`` otherwise.  The parts are read into a
-    list first, so their ``pairs`` must not depend on the loop that makes
-    them.
+    ``den`` is the lcm of the denominators of the exact scales ``q``, so
+    every ``q * den`` is an ``int``; it is 1 for no items.
     """
-    parts = list(parts)
-    den = lcm(*[q.denominator for _, q in parts])
+    items = list(items)
+    den = lcm(*[q.denominator for _, q in items])
+    return den, [(key, q.numerator * (den // q.denominator)) for key, q in items]
+
+
+def scaled_sum(parts, den: int) -> dict:
+    """Sparse sum of integer parts over one common denominator.
+
+    Each item of ``parts`` is a pair ``(pairs, f)`` of ``int`` values and
+    an ``int`` factor; the result is ``{key: sum of f * n / den}``.  The sum
+    is taken in plain integers, and each nonzero coefficient is made exact
+    once: an ``int`` when ``den`` divides it, a reduced ``Fraction``
+    otherwise.  Parts are used up one at a time, as in
+    :func:`linear_combination`.
+    """
     out: dict = {}
     get = out.get
-    for pairs, q in parts:
-        f = q.numerator * (den // q.denominator)
+    for pairs, f in parts:
         for key, n in pairs:
             out[key] = get(key, 0) + f * n
     if den == 1:
+        # integer scales: the sums are the coefficients, and skipping the
+        # exact pass keeps integer products (verify's basis products) cheap
         return out if all(out.values()) else {k: n for k, n in out.items() if n}
     # numerators repeat, so each distinct one is made exact only once
     exact = {n: Fraction(n, den) if n % den else n // den for n in set(out.values()) if n}

@@ -298,15 +298,14 @@ def _left_spine(node, kinds) -> tuple[object, list]:
 
 def _fold_sum(node) -> Element:
     # the linked terms go into one accumulator, which joins the first
-    # operand in a single Element addition at the end; the accumulator leads,
-    # so the large dict is the one that gets copied
+    # operand in a single Element addition at the end
     first, links = _left_spine(node, (Sum, Difference))
     head = evaluate(first)
     acc = linear_combination(
         (evaluate(link.right)._terms.items(), -1 if isinstance(link, Difference) else 1)
         for link in links
     )
-    return Element._raw(acc) + head
+    return head + Element._raw(acc)
 
 
 def _fold_product(node) -> Element:

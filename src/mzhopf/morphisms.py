@@ -231,11 +231,17 @@ def induced_morphism_fast(chi: Character, e) -> Element:
     ``preimage``.  The image is summed as integers over one common
     denominator, and each of its coefficients is made exact once.
     """
-    parts = []
-    for c, q in as_element(e)._terms.items():
-        den, nums = _psi_column(chi, c)
-        parts.append((nums.items(), Fraction(q, den)))
-    return Element._raw(scaled_sum(parts))
+    cols = [(q, _psi_column(chi, c)) for c, q in as_element(e)._terms.items()]
+    den = lcm(*[q.denominator * cden for q, (cden, _) in cols])
+    return Element._raw(
+        scaled_sum(
+            (
+                (nums.items(), q.numerator * (den // (q.denominator * cden)))
+                for q, (cden, nums) in cols
+            ),
+            den,
+        )
+    )
 
 
 def _psi_column(chi: Character, c: Composition) -> Column:

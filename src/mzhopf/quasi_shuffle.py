@@ -22,7 +22,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .compositions import UNIT, Composition, coarsenings
-from .elements import Element, TensorElement, as_element, linear_combination, scaled_sum
+from .elements import (
+    Element,
+    TensorElement,
+    as_element,
+    common_denominator,
+    linear_combination,
+    scaled_sum,
+)
 
 __all__ = [
     "stuffle",
@@ -59,12 +66,12 @@ def _stuffle_basis(a: Composition, b: Composition) -> tuple[tuple[Composition, i
 
 def stuffle(a, b) -> Element:
     """Bilinear stuffle (quasi-shuffle) product; compositions are promoted."""
-    b_terms = as_element(b)._terms.items()
+    da, left = common_denominator(as_element(a)._terms.items())
+    db, right = common_denominator(as_element(b)._terms.items())
     return Element._raw(
         scaled_sum(
-            (_stuffle_basis(c1, c2), q1 * q2)
-            for c1, q1 in as_element(a)._terms.items()
-            for c2, q2 in b_terms
+            ((_stuffle_basis(c1, c2), m * n) for c1, m in left for c2, n in right),
+            da * db,
         )
     )
 

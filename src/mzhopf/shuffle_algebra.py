@@ -46,6 +46,7 @@ from .elements import (
     Rational,
     TensorElement,
     as_element,
+    common_denominator,
     linear_combination,
     scaled_sum,
 )
@@ -105,11 +106,12 @@ def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
 
 def shuffle(a, b) -> Element:
     """Bilinear shuffle product of two elements (compositions promoted)."""
-    left = [(encode_word(c), q) for c, q in as_element(a)._terms.items()]
-    right = [(encode_word(c), q) for c, q in as_element(b)._terms.items()]
+    da, left = common_denominator((encode_word(c), q) for c, q in as_element(a)._terms.items())
+    db, right = common_denominator((encode_word(c), q) for c, q in as_element(b)._terms.items())
     # summed by word, so each distinct output word is decoded once
     by_word = scaled_sum(
-        (_word_pair(u, v), p * q) for u, p in left for v, q in right
+        ((_word_pair(u, v), m * n) for u, m in left for v, n in right),
+        da * db,
     )
     return Element._raw({decode_word(w): q for w, q in by_word.items()})
 

@@ -11,6 +11,7 @@ from mzhopf.elements import (
     TensorElement,
     as_element,
     coerce_coeff,
+    common_denominator,
     component_weights,
     componentwise_product,
     graded_component,
@@ -236,7 +237,7 @@ def test_linear_combination_generator_parts_and_empty_input():
 
 # integer parts over a few keys, so sums collide and cancel; scales have
 # denominators 1-12 (4 and 6, 8 and 12, ... share factors), either sign, and
-# are sometimes plain ints
+# are sometimes plain ints, so some lists have only int scales
 int_pairs = st.lists(st.tuples(st.sampled_from("abcd"), st.integers(-4, 4)), max_size=6)
 scales = st.one_of(
     st.integers(-6, 6),
@@ -261,33 +262,36 @@ def _assert_exact_and_nonzero(terms: dict) -> None:
 @given(st.lists(st.tuples(int_pairs, scales), max_size=6))
 @settings(max_examples=300, deadline=None)
 def test_scaled_sum_matches_term_by_term_fraction_sum(parts):
-    got = scaled_sum(parts)
-    assert got == _fraction_reference(parts)
-    _assert_exact_and_nonzero(got)
-
-
-@given(st.lists(st.tuples(int_pairs, st.integers(-6, 6)), max_size=6))
-@settings(max_examples=100, deadline=None)
-def test_scaled_sum_with_integer_scales(parts):
-    got = scaled_sum(parts)
+    den, int_parts = common_denominator(parts)
+    assert all(type(f) is int and f == q * den for (_, f), (_, q) in zip(int_parts, parts))
+    got = scaled_sum(int_parts, den)
     assert got == _fraction_reference(parts)
     _assert_exact_and_nonzero(got)
 
 
 def test_scaled_sum_examples():
-    assert scaled_sum([]) == {}
-    assert scaled_sum(iter([([], Fraction(1, 7))])) == {}
+    assert common_denominator([]) == (1, [])
+    assert scaled_sum([], 1) == {}
+    assert scaled_sum(iter([([], 3)]), 7) == {}
     # 1/4 + 1/6 over den 12; b cancels to zero across unequal denominators
-    parts = [
-        ([("a", 1)], Fraction(1, 4)),
-        ([("a", 1), ("b", 3)], Fraction(1, 6)),
-        ([("b", -1)], Fraction(1, 2)),
-    ]
-    assert scaled_sum(parts) == {"a": Fraction(5, 12)}
+    den, parts = common_denominator(
+        [
+            ([("a", 1)], Fraction(1, 4)),
+            ([("a", 1), ("b", 3)], Fraction(1, 6)),
+            ([("b", -1)], Fraction(1, 2)),
+        ]
+    )
+    assert den == 12
+    assert scaled_sum(parts, den) == {"a": Fraction(5, 12)}
     # an integral sum of fractional parts comes back as an int
-    got = scaled_sum([([("a", 3)], Fraction(-1, 4)), ([("a", 1), ("c", 2)], Fraction(-1, 4))])
+    got = scaled_sum([([("a", 3)], -1), ([("a", 1), ("c", 2)], -1)], 4)
     assert got == {"a": -1, "c": Fraction(-1, 2)} and type(got["a"]) is int
-    assert scaled_sum([({"a": 2, "b": 1}.items(), 0), ([("b", 5)], 1)]) == {"b": 5}
+    assert scaled_sum([({"a": 2, "b": 1}.items(), 0), ([("b", 5)], 1)], 1) == {"b": 5}
+    # a common denominator larger than needed gives the same exact values
+    assert scaled_sum([([("a", 1), ("b", 2)], 6)], 36) == {"a": Fraction(1, 6), "b": Fraction(1, 3)}
+    # parts are used up one at a time, so a generator may read its own loop variable
+    parts = ((((key, i) for key in "ab"), i) for i in range(1, 4))
+    assert scaled_sum(parts, 2) == {"a": 7, "b": 7}
 
 
 def test_componentwise_product_bilinear():

@@ -6,8 +6,8 @@ from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from conftest import rational_sums
 from mzhopf import cli, verify
 from mzhopf.compositions import Composition, UNIT, compositions_up_to, enumerate_basis
 from mzhopf.elements import Element
@@ -180,14 +180,7 @@ def test_repeated_morphism_calls_return_equal_unshared_results():
     assert induced_morphism_fast(chi, e) == second
 
 
-@given(
-    st.dictionaries(
-        st.sampled_from(list(compositions_up_to(8))),
-        st.fractions(-5, 5, max_denominator=12).filter(bool),
-        min_size=1,
-        max_size=5,
-    ).map(Element)
-)
+@given(rational_sums(8))
 @settings(max_examples=60, deadline=None)
 def test_morphism_of_a_rational_sum_is_the_scaled_sum_of_columns(e):
     chi = factorial_character(8)

@@ -4,8 +4,8 @@ from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from conftest import operand_pairs
 from mzhopf import cli
 from mzhopf.compositions import UNIT, Composition, compositions_up_to, enumerate_basis
 from mzhopf.elements import Element, TensorElement, componentwise_product
@@ -64,22 +64,6 @@ def test_shuffle_bilinear():
     expected = 2 * shuffle((1,), (1,)) - shuffle((2,), (1,))
     assert shuffle(a, b) == expected
 
-
-def _rational_sums(max_weight):
-    """Sums of 1-5 compositions of weight <= max_weight with nonzero rational
-    scalars whose denominators run up to 12."""
-    return st.dictionaries(
-        st.sampled_from(list(compositions_up_to(max_weight))),
-        st.fractions(-5, 5, max_denominator=12).filter(bool),
-        min_size=1,
-        max_size=5,
-    ).map(Element)
-
-
-# operand pairs of total weight <= 8
-operand_pairs = st.integers(1, 7).flatmap(
-    lambda w: st.tuples(_rational_sums(w), _rational_sums(8 - w))
-)
 
 
 @given(operand_pairs)
