@@ -14,11 +14,15 @@ multiplication binds tighter still.  The bare token ``1`` denotes the algebra
 unit.  ``str`` of an :class:`~mzhopf.elements.Element` emits text this
 grammar parses back to an equal element.
 
+The parser returns flat chains: a sum of two or more terms is one
+:class:`Sum`, a product of two or more factors one :class:`Product`, so
+chains of any length parse and evaluate in loops.  Parentheses leave no node
+of their own.  Only ``(`` and a scalar prefix ``q*`` nest, and a factor inside
+more than :data:`MAX_NESTING` of them is rejected, which keeps the recursive
+parser and evaluator off the interpreter's recursion limit.
+
 Syntax problems raise :class:`ExpressionSyntaxError` carrying the 1-based
-position; composition parts below 1 and zero denominators are rejected, and
-so is a factor inside more than :data:`MAX_NESTING` parentheses and scalar
-prefixes, which keeps the recursive parser off the interpreter's recursion
-limit.
+position; composition parts below 1 and zero denominators are rejected too.
 """
 
 from __future__ import annotations
@@ -56,13 +60,8 @@ class ExpressionSyntaxError(ValueError):
 
 
 @dataclass(frozen=True)
-class CompositionLiteral:
-    composition: Composition
-
-
-@dataclass(frozen=True)
-class UnitLiteral:
-    pass
+class Literal:
+    composition: Composition  # UNIT for the bare token "1"
 
 
 @dataclass(frozen=True)
@@ -73,73 +72,47 @@ class ScalarMultiple:
 
 @dataclass(frozen=True)
 class Sum:
-    left: object
-    right: object
+    # (sign, node) pairs with sign 1 or -1; the first sign is 1, because a
+    # leading "-" parses as a ScalarMultiple by -1
+    terms: tuple
 
 
 @dataclass(frozen=True)
-class Difference:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class ShuffleProduct:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class StuffleProduct:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Group:
-    inner: object
+class Product:
+    first: object
+    links: tuple  # ("sh" | "st", node) pairs, applied left to right
 
 
 # -- tokenizer --------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<word>[A-Za-z]+)|(?P<sym>[\[\],()+\-*/]))"
-)
+# Each match starts where the previous one ended: "\S" takes any bad
+# character and "\Z" the end of input, so finditer never rescans trailing
+# whitespace from later positions and the pass stays linear.  The groups are
+# int, word, symbol and bad character.
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([\[\],()+\-*/])|(\S)|\Z)")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "word", one of the symbol characters, or "end"
-    text: str
-    position: int  # 1-based
-
-
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, 1-based position)`` triples, closed by an ``"end"``
+    token; the kind is ``"int"``, or the text of a word or symbol."""
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            stripped = src[pos:].lstrip()
-            if not stripped:  # only trailing whitespace left
-                break
-            at = len(src) - len(stripped) + 1
-            raise ExpressionSyntaxError(f"unexpected character {stripped[0]!r}", at)
-        if m.lastgroup == "int":
-            tokens.append(_Token("int", m.group("int"), m.start("int") + 1))
-        elif m.lastgroup == "word":
-            word = m.group("word")
-            if word not in ("sh", "st"):
-                raise ExpressionSyntaxError(
-                    f"unknown word {word!r} (expected 'sh' or 'st')",
-                    m.start("word") + 1,
-                )
-            tokens.append(_Token(word, word, m.start("word") + 1))
+    for m in _TOKEN_RE.finditer(src):
+        group = m.lastindex
+        if group is None:
+            break
+        text = m.group(group)
+        position = m.start(group) + 1
+        if group == 1:
+            tokens.append(("int", text, position))
+        elif group == 3 or text in ("sh", "st"):
+            tokens.append((text, text, position))
+        elif group == 2:
+            raise ExpressionSyntaxError(
+                f"unknown word {text!r} (expected 'sh' or 'st')", position
+            )
         else:
-            sym = m.group("sym")
-            tokens.append(_Token(sym, sym, m.start("sym") + 1))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(src) + 1))
+            raise ExpressionSyntaxError(f"unexpected character {text!r}", position)
+    tokens.append(("end", "", len(src) + 1))
     return tokens
 
 
@@ -151,173 +124,135 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.index = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
+    def kind(self) -> str:
+        return self.tokens[self.index][0]
 
-    def advance(self) -> _Token:
+    def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.tokens[self.index]
+        if tok[0] != kind:
+            shown = tok[1] or "end of input"
+            raise ExpressionSyntaxError(f"expected {kind!r}, found {shown!r}", tok[2])
         self.index += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            shown = tok.text or "end of input"
-            raise ExpressionSyntaxError(f"expected {kind!r}, found {shown!r}", tok.position)
-        return self.advance()
-
     def parse(self):
         node = self.expr(0)
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionSyntaxError(f"unexpected trailing {tok.text!r}", tok.position)
+        kind, text, position = self.tokens[self.index]
+        if kind != "end":
+            raise ExpressionSyntaxError(f"unexpected trailing {text!r}", position)
         return node
 
     def expr(self, depth: int):
-        negate = False
-        if self.peek().kind in ("+", "-"):
-            negate = self.advance().kind == "-"
+        negate = self.kind() == "-"
+        if negate or self.kind() == "+":
+            self.index += 1
         node = self.term(depth)
         if negate:
             node = ScalarMultiple(Fraction(-1), node)
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.term(depth)
-            node = Sum(node, rhs) if op == "+" else Difference(node, rhs)
-        return node
+        terms = [(1, node)]
+        while (kind := self.kind()) in ("+", "-"):
+            self.index += 1
+            terms.append((1 if kind == "+" else -1, self.term(depth)))
+        return node if len(terms) == 1 else Sum(tuple(terms))
 
     def term(self, depth: int):
-        node = self.factor(depth)
-        while self.peek().kind in ("sh", "st"):
-            op = self.advance().kind
-            rhs = self.factor(depth)
-            node = ShuffleProduct(node, rhs) if op == "sh" else StuffleProduct(node, rhs)
-        return node
+        first = self.factor(depth)
+        links = []
+        while (kind := self.kind()) in ("sh", "st"):
+            self.index += 1
+            links.append((kind, self.factor(depth)))
+        return Product(first, tuple(links)) if links else first
 
     def factor(self, depth: int):
-        tok = self.peek()
+        kind, text, position = self.tokens[self.index]
         if depth > MAX_NESTING:
             raise ExpressionSyntaxError(
-                f"expression nests more than {MAX_NESTING} levels deep", tok.position
+                f"expression nests more than {MAX_NESTING} levels deep", position
             )
-        if tok.kind == "(":
-            self.advance()
+        if kind == "(":
+            self.index += 1
             inner = self.expr(depth + 1)
             self.expect(")")
-            return Group(inner)
-        if tok.kind == "[":
+            return inner
+        if kind == "[":
             return self.composition_literal()
-        if tok.kind == "int":
+        if kind == "int":
             # rational "*" factor, or the bare unit literal "1"
-            after = self.tokens[self.index + 1]
-            if after.kind in ("*", "/"):
+            if self.tokens[self.index + 1][0] in ("*", "/"):
                 scalar = self.rational()
                 self.expect("*")
                 return ScalarMultiple(scalar, self.factor(depth + 1))
-            if tok.text == "1":
-                self.advance()
-                return UnitLiteral()
+            if text == "1":
+                self.index += 1
+                return Literal(UNIT)
             raise ExpressionSyntaxError(
-                f"bare integer {tok.text!r} is not an element (use '1', a literal, "
+                f"bare integer {text!r} is not an element (use '1', a literal, "
                 "or 'n*...')",
-                tok.position,
+                position,
             )
-        shown = tok.text or "end of input"
-        raise ExpressionSyntaxError(f"expected an element, found {shown!r}", tok.position)
+        shown = text or "end of input"
+        raise ExpressionSyntaxError(f"expected an element, found {shown!r}", position)
 
     def rational(self) -> Fraction:
-        num_tok = self.expect("int")
-        value = Fraction(int(num_tok.text))
-        if self.peek().kind == "/":
-            self.advance()
-            den_tok = self.expect("int")
-            den = int(den_tok.text)
+        value = Fraction(int(self.expect("int")[1]))
+        if self.kind() == "/":
+            self.index += 1
+            _, text, position = self.expect("int")
+            den = int(text)
             if den == 0:
-                raise ExpressionSyntaxError("zero denominator", den_tok.position)
+                raise ExpressionSyntaxError("zero denominator", position)
             value /= den
         return value
 
-    def composition_literal(self):
-        open_tok = self.expect("[")
+    def composition_literal(self) -> Literal:
+        self.index += 1  # the "["
         parts = []
         while True:
-            tok = self.expect("int")
-            part = int(tok.text)
+            _, text, position = self.expect("int")
+            part = int(text)
             if part < 1:
                 raise ExpressionSyntaxError(
-                    f"composition parts must be >= 1, got {part}", tok.position
+                    f"composition parts must be >= 1, got {part}", position
                 )
             parts.append(part)
-            if self.peek().kind == ",":
-                self.advance()
-                continue
-            break
+            if self.kind() != ",":
+                break
+            self.index += 1
         self.expect("]")
-        del open_tok
-        return CompositionLiteral(Composition(parts))
+        # every part was checked above, so the validating constructor is skipped
+        return Literal(tuple.__new__(Composition, parts))
 
 
 def parse_expression(src: str):
-    """Parse expression text into an AST."""
+    """Parse expression text into a tree of flat sum and product chains."""
     return _Parser(src).parse()
 
 
 def evaluate(node) -> Element:
-    """Evaluate an AST to an Element.
+    """Evaluate a parsed expression to an Element.
 
-    Sum and product chains are folded along their left spine in a loop, so
-    a chain of any length evaluates without deep recursion; a sum chain
-    collects its terms in one accumulator instead of copying a partial sum
-    per term.
+    Chains are evaluated in a loop.  A sum's terms after the first go into
+    one accumulator, which joins the first term in a single Element addition
+    at the end, instead of copying a partial sum per term.  Products are
+    looked up through their modules on each call.
     """
-    if isinstance(node, CompositionLiteral):
+    if isinstance(node, Literal):
         return Element.basis(node.composition)
-    if isinstance(node, UnitLiteral):
-        return Element.basis(UNIT)
     if isinstance(node, ScalarMultiple):
         return evaluate(node.operand).scaled(node.scalar)
-    if isinstance(node, (Sum, Difference)):
-        return _fold_sum(node)
-    if isinstance(node, (ShuffleProduct, StuffleProduct)):
-        return _fold_product(node)
-    if isinstance(node, Group):
-        return evaluate(node.inner)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _left_spine(node, kinds) -> tuple[object, list]:
-    """The first operand of a left-nested chain of ``kinds``, and the
-    chain's links from the innermost out."""
-    links = []
-    while isinstance(node, kinds):
-        links.append(node)
-        node = node.left
-    links.reverse()
-    return node, links
-
-
-def _fold_sum(node) -> Element:
-    # the linked terms go into one accumulator, which joins the first
-    # operand in a single Element addition at the end
-    first, links = _left_spine(node, (Sum, Difference))
-    head = evaluate(first)
-    acc = linear_combination(
-        (evaluate(link.right)._terms.items(), -1 if isinstance(link, Difference) else 1)
-        for link in links
-    )
-    return head + Element._raw(acc)
-
-
-def _fold_product(node) -> Element:
-    first, links = _left_spine(node, (ShuffleProduct, StuffleProduct))
-    acc = evaluate(first)
-    for link in links:
-        product = (
-            shuffle_algebra.shuffle if isinstance(link, ShuffleProduct)
-            else quasi_shuffle.stuffle
+    if isinstance(node, Sum):
+        head = evaluate(node.terms[0][1])
+        acc = linear_combination(
+            (evaluate(term)._terms.items(), sign) for sign, term in node.terms[1:]
         )
-        acc = product(acc, evaluate(link.right))
-    return acc
+        return head + Element._raw(acc)
+    if isinstance(node, Product):
+        acc = evaluate(node.first)
+        for op, factor in node.links:
+            product = shuffle_algebra.shuffle if op == "sh" else quasi_shuffle.stuffle
+            acc = product(acc, evaluate(factor))
+        return acc
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def evaluate_expression(src: str) -> Element:

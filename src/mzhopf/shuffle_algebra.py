@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 from .compositions import (
     UNIT,
@@ -290,10 +290,12 @@ def _antipode_basis(c: Composition) -> Element:
     if not c:
         return Element.unit()
     # S(x) = -x - sum S(x') sh x'' over the reduced coproduct
-    acc = Element.basis(c)
-    for (u, v), q in _reduced_coproduct_basis(c)._terms.items():
-        acc = acc + shuffle(_antipode_basis(u), Element.basis(v, q))
-    return -acc
+    products = (
+        shuffle(_antipode_basis(u), Element.basis(v, q))
+        for (u, v), q in _reduced_coproduct_basis(c)._terms.items()
+    )
+    parts = chain([({c: 1}.items(), -1)], ((p._terms.items(), -1) for p in products))
+    return Element._raw(linear_combination(parts))
 
 
 def antipode(e) -> Element:

@@ -106,12 +106,12 @@ def _convolution_antipode(c: Composition, memo: dict) -> Element:
     cached = memo.get(c)
     if cached is not None:
         return cached
-    acc = Element.basis(c)
-    for j in range(1, len(c)):
-        acc = acc + quasi_shuffle.stuffle(
-            _convolution_antipode(c[:j], memo), Element.basis(c[j:])
-        )
-    out = -acc
+    stuffles = (
+        quasi_shuffle.stuffle(_convolution_antipode(c[:j], memo), Element.basis(c[j:]))
+        for j in range(1, len(c))
+    )
+    parts = itertools.chain([({c: 1}.items(), -1)], ((s._terms.items(), -1) for s in stuffles))
+    out = Element._raw(linear_combination(parts))
     memo[c] = out
     return out
 
@@ -444,9 +444,12 @@ def _check_coproduct_multiplicative(bound: int, product, coprod) -> str | None:
 def _check_antipode_axiom(bound: int, product, coprod, antipode) -> str | None:
     for c in compositions_up_to(bound):
         d = coprod(Element.basis(c))
-        acc = Element()
-        for (u, v), q in d._terms.items():
-            acc = acc + product(antipode(u), Element.basis(v, q))
+        acc = Element._raw(
+            linear_combination(
+                (product(antipode(u), Element.basis(v, q))._terms.items(), 1)
+                for (u, v), q in d._terms.items()
+            )
+        )
         expected = Element.unit() if c == UNIT else Element()
         if acc != expected:
             return f"antipode axiom fails at {c}: got {acc}"

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 from mzhopf.elements import Element
 from mzhopf.expressions import (
     ExpressionSyntaxError,
+    Product,
+    Sum,
+    evaluate,
     evaluate_expression,
     parse_expression,
 )
@@ -62,9 +66,12 @@ def test_mixed_products():
     assert got == stuffle(shuffle((2,), (1,)), (1,))
 
 
-def test_parse_tree_exists():
-    node = parse_expression("[2] sh [1] + 1")
-    assert node is not None
+def test_chains_parse_flat():
+    node = parse_expression(" + ".join(["[1]"] * 5000))
+    assert isinstance(node, Sum) and len(node.terms) == 5000
+    node = parse_expression(" sh ".join(["[1]"] * 3001))
+    assert isinstance(node, Product) and len(node.links) == 3000
+    assert parse_expression("([2])") == parse_expression("[2]")
 
 
 @pytest.mark.parametrize(
@@ -94,6 +101,33 @@ def test_error_positions_are_one_based():
         evaluate_expression("[2] yy [3]")
     assert err.value.position == 5
     assert "position 5" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "src, message, position",
+    [
+        ("[2] yy [3]", "unknown word 'yy' (expected 'sh' or 'st')", 5),
+        ("[1] +   @", "unexpected character '@'", 9),
+        ("[1] + 2", "bare integer '2' is not an element (use '1', a literal, or 'n*...')", 7),
+        ("[2] 3", "unexpected trailing '3'", 5),
+        ("1/0*[2]", "zero denominator", 3),
+        ("[1,0]", "composition parts must be >= 1, got 0", 4),
+        ("[2] sh", "expected an element, found 'end of input'", 7),
+        ("[2", "expected ']', found 'end of input'", 3),
+    ],
+)
+def test_error_messages_and_positions(src, message, position):
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression(src)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def test_trailing_whitespace_is_linear():
+    start = time.perf_counter()
+    node = parse_expression("[1]" + " " * 100_000)
+    assert time.perf_counter() - start < 0.1
+    assert evaluate(node) == Element.basis((1,))
 
 
 def test_bare_integer_message():
