@@ -180,7 +180,8 @@ def compositions_up_to(max_weight: int) -> Iterator[Composition]:
 
 def concatenate(factors: Iterable) -> Composition:
     """Concatenation of several compositions; unit factors contribute nothing."""
-    return Composition(itertools.chain.from_iterable(Composition(f) for f in factors))
+    # each factor is validated once, so the joined parts need no second pass
+    return tuple.__new__(Composition, itertools.chain.from_iterable(map(Composition, factors)))
 
 
 def tensor_le(u, v) -> bool:

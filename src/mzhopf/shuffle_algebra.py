@@ -13,8 +13,13 @@ is computed from the integer closed form of its reduced part
 
 with ``R = raise_prefix(j)``, so ``(R^i/i!)(a)`` sums
 ``prod C(al+ml-1, ml) * [a1+m1,...,aj+mj]`` over ``m1+...+mj = i``.  The
-counit picks the coefficient of the unit and the antipode is the standard
-recursion of a connected graded Hopf algebra.
+counit picks the coefficient of the unit.  The antipode is the closed form
+
+    S([s1, t]) = (-1)^(1+|t|) (R^(s1-1)/(s1-1)!)([1, reversed(t)])
+
+with ``R = raise_prefix(depth)`` and ``|t|`` the weight of ``t``.  No proof is
+in hand; it equals the recursion ``S(c) = -c - sum S(u) sh v`` on every
+composition of weight <= 13, and the tests check that through weight 10.
 
 Raising operators.  ``raise_prefix(i, -)`` sends a basis composition to the
 sum over the first ``i`` slots of (part value) times (that part incremented);
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .compositions import (
     UNIT,
@@ -134,10 +139,22 @@ def rota_baxter(e) -> Element:
 # raising operators
 
 
+def _raisings(a: tuple, j: int, i: int, w0: int = 1):
+    """Yield the (composition, int) terms of ``w0 * (R^i/i!)(a)``, ``R = raise_prefix(j)``;
+    distinct raisings give distinct compositions, so no two terms meet."""
+    for slots in combinations_with_replacement(range(j), i):
+        u, w = list(a), w0
+        for l in slots:
+            # C(a+m-1, m) -> C(a+m, m+1) for part a raised m times so far
+            w = w * u[l] // (u[l] - a[l] + 1)
+            u[l] += 1
+        yield tuple.__new__(Composition, u), w
+
+
 def _raise_prefix_basis(i: int, c: Composition) -> tuple[tuple[Composition, int], ...]:
     if i < 1 or i > len(c):
         return ()
-    return tuple((c.raised(j), c[j]) for j in range(i))
+    return tuple(_raisings(c, i, 1))
 
 
 def _raise_part_basis(i: int, c: Composition) -> tuple[tuple[Composition, int], ...]:
@@ -148,7 +165,7 @@ def _raise_part_basis(i: int, c: Composition) -> tuple[tuple[Composition, int], 
     if i <= k:
         return ((c.raised(i - 1), c[i - 1]),)
     # boundary slot just past the depth: minus the full prefix sum
-    return tuple((c.raised(j), -c[j]) for j in range(k))
+    return tuple(_raisings(c, k, 1, -1))
 
 
 def raise_prefix(i: int, e) -> Element:
@@ -221,35 +238,25 @@ def _reduced_coproduct_basis(c: Composition) -> TensorElement:
         prefix, head, tail = s[:j], s[j], s[j + 1:]
         for i in range(head):
             v = tuple.__new__(Composition, (head - i,) + tail)
-            for slots in combinations_with_replacement(range(j), i):
-                u, w = list(prefix), (-1) ** i
-                for l in slots:
-                    # C(a+m-1, m) -> C(a+m, m+1) for part a raised m times so far
-                    w = w * u[l] // (u[l] - prefix[l] + 1)
-                    u[l] += 1
-                terms[tuple.__new__(Composition, u), v] = w
+            for u, w in _raisings(prefix, j, i, (-1) ** i):
+                terms[u, v] = w
     return TensorElement._raw(2, terms)
+
+
+def _extend(basis_coproduct, e) -> TensorElement:
+    # linear extension of a basis coproduct (composition -> rank-2 tensor)
+    parts = ((basis_coproduct(c)._terms.items(), q) for c, q in as_element(e)._terms.items())
+    return TensorElement._raw(2, linear_combination(parts))
 
 
 def coproduct(e) -> TensorElement:
     """The shuffle-side coproduct, extended linearly."""
-    return TensorElement._raw(
-        2,
-        linear_combination(
-            (_coproduct_basis(c)._terms.items(), q) for c, q in as_element(e)._terms.items()
-        ),
-    )
+    return _extend(_coproduct_basis, e)
 
 
 def reduced_coproduct(e) -> TensorElement:
     """coproduct minus the two boundary terms unit (x) e and e (x) unit."""
-    return TensorElement._raw(
-        2,
-        linear_combination(
-            (_reduced_coproduct_basis(c)._terms.items(), q)
-            for c, q in as_element(e)._terms.items()
-        ),
-    )
+    return _extend(_reduced_coproduct_basis, e)
 
 
 def _expand_first(terms: dict, basis_coproduct) -> dict:
@@ -289,13 +296,9 @@ def counit(e) -> Fraction:
 def _antipode_basis(c: Composition) -> Element:
     if not c:
         return Element.unit()
-    # S(x) = -x - sum S(x') sh x'' over the reduced coproduct
-    products = (
-        shuffle(_antipode_basis(u), Element.basis(v, q))
-        for (u, v), q in _reduced_coproduct_basis(c)._terms.items()
-    )
-    parts = chain([({c: 1}.items(), -1)], ((p._terms.items(), -1) for p in products))
-    return Element._raw(linear_combination(parts))
+    # the closed form of the module docstring
+    s1, t = c[0], tuple(c)[1:]
+    return Element._raw(dict(_raisings((1,) + t[::-1], len(c), s1 - 1, (-1) ** (1 + sum(t)))))
 
 
 def antipode(e) -> Element:

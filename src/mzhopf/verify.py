@@ -68,6 +68,15 @@ def _result(suite: str, name: str, failure: str | None) -> CheckResult:
 # independent oracles
 
 
+def _basis_pairs(bound: int):
+    """Every pair of nonunit compositions with total weight 2..bound, weight-major."""
+    for total in range(2, bound + 1):
+        for m in range(1, total):
+            for a in enumerate_basis(m):
+                for b in enumerate_basis(total - m):
+                    yield a, b
+
+
 def _brute_shuffle(u: str, v: str) -> dict[str, int]:
     """All interleavings by explicit position choice; no recursion shared
     with the production implementation."""
@@ -428,16 +437,11 @@ def _check_counit_laws(bound: int, coprod) -> str | None:
 
 
 def _check_coproduct_multiplicative(bound: int, product, coprod) -> str | None:
-    for total in range(2, bound + 1):
-        for m in range(1, total):
-            for a in enumerate_basis(m):
-                for b in enumerate_basis(total - m):
-                    lhs = coprod(product(a, b))
-                    rhs = componentwise_product(
-                        coprod(Element.basis(a)), coprod(Element.basis(b)), product
-                    )
-                    if lhs != rhs:
-                        return f"coproduct of {a} * {b} is not multiplicative"
+    for a, b in _basis_pairs(bound):
+        lhs = coprod(product(a, b))
+        rhs = componentwise_product(coprod(Element.basis(a)), coprod(Element.basis(b)), product)
+        if lhs != rhs:
+            return f"coproduct of {a} * {b} is not multiplicative"
     return None
 
 
@@ -496,13 +500,10 @@ def _check_qsh_antipode_oracle(bound: int) -> str | None:
 
 def _check_canonical_character(bound: int) -> str | None:
     zq = quasi_shuffle.canonical_character
-    for total in range(2, bound + 1):
-        for m in range(1, total):
-            for a in enumerate_basis(m):
-                for b in enumerate_basis(total - m):
-                    prod = quasi_shuffle.stuffle(a, b)
-                    if zq(prod) != zq(Element.basis(a)) * zq(Element.basis(b)):
-                        return f"canonical character not multiplicative at ({a}, {b})"
+    for a, b in _basis_pairs(bound):
+        prod = quasi_shuffle.stuffle(a, b)
+        if zq(prod) != zq(Element.basis(a)) * zq(Element.basis(b)):
+            return f"canonical character not multiplicative at ({a}, {b})"
     return None
 
 
@@ -579,16 +580,11 @@ def _check_golden_values() -> str | None:
 
 def _check_algebra_map(bound: int, chi: morphisms.Character) -> str | None:
     psi = morphisms.induced_morphism_fast
-    for total in range(2, bound + 1):
-        for m in range(1, total):
-            for a in enumerate_basis(m):
-                for b in enumerate_basis(total - m):
-                    lhs = psi(chi, shuffle_algebra.shuffle(a, b))
-                    rhs = quasi_shuffle.stuffle(
-                        psi(chi, Element.basis(a)), psi(chi, Element.basis(b))
-                    )
-                    if lhs != rhs:
-                        return f"morphism is not an algebra map at ({a}, {b})"
+    for a, b in _basis_pairs(bound):
+        lhs = psi(chi, shuffle_algebra.shuffle(a, b))
+        rhs = quasi_shuffle.stuffle(psi(chi, Element.basis(a)), psi(chi, Element.basis(b)))
+        if lhs != rhs:
+            return f"morphism is not an algebra map at ({a}, {b})"
     return None
 
 

@@ -135,6 +135,9 @@ def test_decode_rejects_undecodable():
 def test_concatenate():
     assert concatenate([Composition((2,)), UNIT, Composition((1, 1))]) == Composition((2, 1, 1))
     assert concatenate([]) == UNIT
+    # raw factors are still validated
+    with pytest.raises(ValueError):
+        concatenate([Composition((2,)), (1, 0)])
 
 
 def test_tensor_le_examples():

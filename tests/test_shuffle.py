@@ -11,6 +11,7 @@ from mzhopf.compositions import UNIT, Composition, compositions_up_to, enumerate
 from mzhopf.elements import Element, TensorElement, componentwise_product
 from mzhopf.shuffle_algebra import (
     UnitTermError,
+    _antipode_basis,
     _coproduct_basis,
     antipode,
     coproduct,
@@ -163,10 +164,11 @@ def test_coproduct_of_ones_is_binomial_free_deconcatenation():
     assert coproduct(c) == expected
 
 
-def test_coproduct_coefficients_are_integers_through_weight_nine():
-    # structural: the closed form sums products of binomials and never divides
+def test_coproduct_and_antipode_coefficients_are_integers_through_weight_nine():
+    # structural: both closed forms sum products of binomials and never divide
     for c in compositions_up_to(9):
         assert all(type(v) is int for v in _coproduct_basis(c)._terms.values()), c
+        assert all(type(v) is int for v in _antipode_basis(c)._terms.values()), c
 
 
 def _raising_chain_coproduct(c):
@@ -279,3 +281,36 @@ def test_antipode_is_an_involution_here():
     for c in compositions_up_to(5):
         e = Element.basis(c)
         assert antipode(antipode(e)) == e
+
+
+def _recursive_antipode(c, memo):
+    """S(c) = -c - sum S(u) sh v over the reduced coproduct, from public names only."""
+    if c not in memo:
+        acc = Element.basis(c, -1) if c else Element.unit()
+        for (u, v), q in reduced_coproduct(c).terms():
+            acc = acc - shuffle(_recursive_antipode(u, memo), Element.basis(v, q))
+        memo[c] = acc
+    return memo[c]
+
+
+def test_closed_form_antipode_matches_recursion_through_weight_ten():
+    # the bound may be raised, never lowered
+    memo = {}
+    for c in compositions_up_to(10):
+        assert antipode(c) == _recursive_antipode(c, memo), c
+
+
+def _antipode_terms(capsys, c):
+    code = cli.main(["antipode", str(Composition(c))])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    return doc["terms"]
+
+
+def test_antipode_of_deep_compositions(capsys):
+    # a construction that recursed once per part would exceed Python's
+    # recursion limit on these
+    assert _antipode_terms(capsys, (1,) * 400) == [{"coeff": "1", "comp": [1] * 400}]
+    terms = _antipode_terms(capsys, (2,) + (1,) * 300)
+    assert len(terms) == 301
+    assert all(t["coeff"] == "-1" for t in terms)
