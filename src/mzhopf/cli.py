@@ -14,7 +14,8 @@ Exit codes
     0  success
     2  command-line usage error
     3  expression syntax error
-    4  domain error (bad composition, divergent series, unit term, ...)
+    4  domain error (bad composition, divergent series, unit term, product
+       too deep to compute, ...)
     5  character table does not cover the requested weight
     6  singular character (no inverse)
     7  a verification check failed
@@ -49,10 +50,11 @@ def _emit(x: Element | TensorElement, fmt: str) -> None:
 
 def _parse_composition_arg(text: str) -> Composition:
     body = text.strip()
+    # a bare 1 is the unit, while [1] is the composition with one part 1
+    if body in ("", "1", "[]"):
+        raise ValueError("expected a nonempty composition like [2,1]")
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
-    if body in ("", "1"):
-        raise ValueError("expected a nonempty composition like [2,1]")
     try:
         parts = tuple(int(p) for p in body.split(","))
     except ValueError:
@@ -255,12 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
 # The first entry that matches wins, so each subclass comes before its base.
 # Every domain error (bad composition or word, divergent series, unit term)
 # is a ValueError, and so are the first three entries; CoverageError is not.
+# A product too deep for the recursion limit is a domain error as well.
 _EXIT_CODES = {
     ExpressionSyntaxError: 3,
     morphisms.SingularCharacterError: 6,
     morphisms.InvalidCharacterError: 8,
     morphisms.CoverageError: 5,
     ValueError: 4,
+    RecursionError: 4,
     OSError: 9,
 }
 

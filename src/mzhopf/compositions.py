@@ -93,6 +93,9 @@ class Composition(tuple):
         return result
 
     def __add__(self, other) -> "Composition":
+        if type(other) is Composition:
+            # both sides are valid already, so the join needs no second pass
+            return tuple.__new__(Composition, tuple.__add__(self, other))
         return Composition(tuple(self) + tuple(other))
 
     def __radd__(self, other) -> "Composition":

@@ -1,14 +1,17 @@
 """The quasi-shuffle Hopf algebra on integer compositions.
 
-The product is the stuffle recursion
+One cached recursion computes both products of this package, which are
+quasi-shuffles (Hoffman, "Quasi-shuffle products", J. Algebraic Combin. 11,
+2000).  For first letters ``a, b`` with the bracket ``<a,b>``:
 
-    [s1, s'] * [t1, t'] = [s1, s' * [t1,t']] + [t1, [s1,s'] * t']
-                          + [s1+t1, s' * t']
+    [a, u] * [b, v] = [a, u * [b,v]] + [b, [a,u] * v] + [<a,b>, u * v]
 
-which matches multiplication of the underlying nested series, e.g.
-``stuffle([2], [2]) = 2*[2,2] + [4]``.  The coproduct is deconcatenation,
-the counit picks the unit coefficient, and the antipode has the closed
-quasisymmetric-function form
+The stuffle's letters are parts, with ``<s,t> = s + t``, as in the product of
+nested series: ``stuffle([2], [2]) = 2*[2,2] + [4]``.  The shuffle is the case
+of ``x0, x1`` words with the zero bracket, which drops the third term.
+
+The coproduct is deconcatenation, the counit picks the unit coefficient,
+and the antipode has the closed quasisymmetric-function form
 
     antipode([a]) = (-1)^depth(a) * sum of the coarsenings of reversed(a).
 
@@ -40,40 +43,50 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=1 << 17)
-def _stuffle_pair(a: Composition, b: Composition) -> tuple[tuple[Composition, int], ...]:
-    # callers keep a <= b lexicographically; the recursion is symmetric
-    if not a:
-        return ((b, 1),)
-    if not b:
-        return ((a, 1),)
-    out: dict[Composition, int] = {}
-    heads = (
-        (a[0], _stuffle_basis(a[1:], b)),
-        (b[0], _stuffle_basis(a, b[1:])),
-        (a[0] + b[0], _stuffle_basis(a[1:], b[1:])),
-    )
-    for head, dist in heads:
-        for c, n in dist:
-            key = Composition((head,) + tuple(c))
-            out[key] = out.get(key, 0) + n
+@lru_cache(maxsize=1 << 18)
+def _quasi_shuffle(u, v, unit, bracket: bool) -> tuple:
+    # the recursion of the module docstring; callers keep u <= v, so each
+    # unordered pair is cached once and only u can be empty
+    if not v:
+        return ((unit, 1),)
+    steps = [(v[:1], _pair(u, v[1:], unit, bracket))]
+    if u:
+        steps.insert(0, (u[:1], _pair(u[1:], v, unit, bracket)))
+        if bracket:
+            steps.append(((u[0] + v[0],), _pair(u[1:], v[1:], unit, bracket)))
+    out = {}
+    get = out.get
+    for first, cells in steps:
+        # a one-letter head joined to cached keys: for compositions only the
+        # head goes through the validating constructor
+        head = unit + first
+        for w, n in cells:
+            key = head + w
+            out[key] = get(key, 0) + n
     return tuple(out.items())
 
 
-def _stuffle_basis(a: Composition, b: Composition) -> tuple[tuple[Composition, int], ...]:
-    return _stuffle_pair(a, b) if tuple(a) <= tuple(b) else _stuffle_pair(b, a)
+def _pair(u, v, unit, bracket: bool) -> tuple:
+    """The quasi-shuffle ``u * v`` as ``((unit + word, int), ...)`` of two
+    ``x0, x1`` words (``unit = ""``) or tuples of parts (``unit = UNIT``)."""
+    return _quasi_shuffle(u, v, unit, bracket) if u <= v else _quasi_shuffle(v, u, unit, bracket)
+
+
+def _product(a, b, encode, unit, bracket: bool) -> dict:
+    """Bilinear extension of :func:`_pair` to elements, as ``{key: exact
+    coefficient}``; ``encode`` maps a composition to a word of the alphabet."""
+    da, left = common_denominator((encode(c), q) for c, q in as_element(a)._terms.items())
+    db, right = common_denominator((encode(c), q) for c, q in as_element(b)._terms.items())
+    return scaled_sum(
+        ((_pair(u, v, unit, bracket), m * n) for u, m in left for v, n in right),
+        da * db,
+    )
 
 
 def stuffle(a, b) -> Element:
     """Bilinear stuffle (quasi-shuffle) product; compositions are promoted."""
-    da, left = common_denominator(as_element(a)._terms.items())
-    db, right = common_denominator(as_element(b)._terms.items())
-    return Element._raw(
-        scaled_sum(
-            ((_stuffle_basis(c1, c2), m * n) for c1, m in left for c2, n in right),
-            da * db,
-        )
-    )
+    # plain tuples order natively; Compositions of two weights do not compare
+    return Element._raw(_product(a, b, tuple, UNIT, True))
 
 
 def coproduct(e) -> TensorElement:

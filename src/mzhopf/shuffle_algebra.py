@@ -1,8 +1,10 @@
 """The shuffle Hopf algebra on integer compositions.
 
 The product is the pullback of word interleaving through the encoding of
-compositions as words: ``shuffle([2], [2]) = 4*[3,1] + 2*[2,2]``.  The
-coproduct is *not* deconcatenation: it sends ``[1,...,1]`` to
+compositions as words: ``shuffle([2], [2]) = 4*[3,1] + 2*[2,2]``.
+Interleaving is the zero-bracket case of the quasi-shuffle recursion of
+:mod:`quasi_shuffle`, which also computes the stuffle.  The coproduct is
+*not* deconcatenation: it sends ``[1,...,1]`` to
 ``sum [1^j] (x) [1^(k-j)]`` and commutes with the lifted raising operators
 below, which build ``[s1,...,sk]`` as ``prod raise_part(i)^(si-1) / (si-1)!``
 applied to ``[1,...,1]`` (verify's ``raising-commutation`` checks this).  It
@@ -51,10 +53,9 @@ from .elements import (
     Rational,
     TensorElement,
     as_element,
-    common_denominator,
     linear_combination,
-    scaled_sum,
 )
+from .quasi_shuffle import _pair, _product
 
 __all__ = [
     "UnitTermError",
@@ -81,43 +82,15 @@ class UnitTermError(ValueError):
 # product
 
 
-@lru_cache(maxsize=1 << 17)
-def _word_shuffle(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
-    # callers keep u <= v so each unordered pair is cached once
-    if not u:
-        return ((v, 1),)
-    if not v:
-        return ((u, 1),)
-    out: dict[Word, int] = {}
-    a, u_rest = u[0], u[1:]
-    b, v_rest = v[0], v[1:]
-    for w, c in _word_pair(u_rest, v):
-        key = a + w
-        out[key] = out.get(key, 0) + c
-    for w, c in _word_pair(u, v_rest):
-        key = b + w
-        out[key] = out.get(key, 0) + c
-    return tuple(out.items())
-
-
-def _word_pair(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
-    return _word_shuffle(u, v) if u <= v else _word_shuffle(v, u)
-
-
 def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
     """Multiset of interleavings of two words, as word -> multiplicity."""
-    return dict(_word_pair(u, v))
+    return dict(_pair(u, v, "", False))
 
 
 def shuffle(a, b) -> Element:
     """Bilinear shuffle product of two elements (compositions promoted)."""
-    da, left = common_denominator((encode_word(c), q) for c, q in as_element(a)._terms.items())
-    db, right = common_denominator((encode_word(c), q) for c, q in as_element(b)._terms.items())
     # summed by word, so each distinct output word is decoded once
-    by_word = scaled_sum(
-        ((_word_pair(u, v), m * n) for u, m in left for v, n in right),
-        da * db,
-    )
+    by_word = _product(a, b, encode_word, "", False)
     return Element._raw({decode_word(w): q for w, q in by_word.items()})
 
 

@@ -6,10 +6,11 @@ default to the documented values for each property; passing ``max_weight``
 caps every bound in the suite (useful to trade completeness for speed from
 the command line).
 
-Several checks are deliberate dual routes: the recursive word shuffle against
-a positional brute-force enumeration, the closed-form quasi-shuffle antipode
-against the convolution recursion, and the cumulative-sum series evaluator
-against nested loops; the two sides of each of these pairs share no code.
+Several checks are deliberate dual routes: the word shuffle, a quasi-shuffle
+with the zero bracket, against a positional brute-force enumeration, the
+closed-form quasi-shuffle antipode against the convolution recursion, and
+the cumulative-sum series evaluator against nested loops; the two sides of
+each of these pairs share no code.
 The induced morphism's production recursion is checked against
 ``induced_morphism``, the defining per-profile formula, which is kept here
 as an oracle and shares only the coproduct table with production.
@@ -721,13 +722,13 @@ def _check_matrix_triangular(bound: int, chi: morphisms.Character) -> str | None
 def _check_matrix_diagonal(bound: int, chi: morphisms.Character) -> str | None:
     for n in range(1, bound + 1):
         mat = morphisms.morphism_matrix(chi, n)
-        for j, c in enumerate(mat.basis):
+        for c, entry in zip(mat.basis, mat.diagonal()):
             expected = Fraction(1)
             for part in c:
                 expected *= chi.value(Composition((part,)))
-            if mat.entries[j][j] != expected:
+            if entry != expected:
                 return (
-                    f"diagonal entry at {c} (weight {n}) is {mat.entries[j][j]}, "
+                    f"diagonal entry at {c} (weight {n}) is {entry}, "
                     f"expected {expected}"
                 )
     return None
@@ -752,7 +753,7 @@ def _check_singular_detection() -> str | None:
     if not morphisms.validate_character(chi):
         return "the vanishing character should validate"
     mat = morphisms.morphism_matrix(chi, 2)
-    if mat.entries[0][0] != 0:
+    if mat.entry(0, 0) != 0:
         return "expected a zero diagonal entry at [2]"
     try:
         morphisms.preimage(chi, Element.basis(Composition((2,))))

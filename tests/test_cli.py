@@ -179,6 +179,24 @@ def test_domain_error_exit_codes(capsys):
     assert code == 4
     code, _, err = run(capsys, "mzv", "1")
     assert code == 4
+    # [1] is a nonempty composition, so it reaches the series and diverges
+    code, _, err = run(capsys, "mzv", "[1]")
+    assert code == 4 and "not admissible" in err
+
+
+_ONES_700 = "[" + ",".join(["1"] * 700) + "]"
+
+
+@pytest.mark.parametrize("expr", [
+    "[300] sh [300]",
+    f"{_ONES_700} st [1]",
+    f"{_ONES_700} sh [1]",
+], ids=["300-sh-300", "ones700-st-1", "ones700-sh-1"])
+def test_products_too_deep_for_the_recursion_exit_four(capsys, expr):
+    code, out, err = run(capsys, "eval", expr)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_coverage_error_exit_code(capsys):

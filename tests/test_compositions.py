@@ -52,6 +52,19 @@ def test_raised_and_slicing():
     assert c + Composition((5,)) == Composition((2, 1, 3, 5))
 
 
+def test_add_joins_compositions_and_validates_raw_operands():
+    joined = Composition((2, 1)) + Composition((3,))
+    assert type(joined) is Composition and joined == (2, 1, 3)
+    assert type(UNIT + UNIT) is Composition and UNIT + UNIT == UNIT
+    assert type(Composition((1,)) + (2,)) is Composition
+    assert type((2,) + Composition((1,))) is Composition
+    # a raw operand is still validated, on either side
+    with pytest.raises(ValueError):
+        Composition((2,)) + (1, 0)
+    with pytest.raises(ValueError):
+        (0,) + Composition((2,))
+
+
 def test_str_and_repr():
     assert str(Composition((2, 1))) == "[2,1]"
     assert str(UNIT) == "1"

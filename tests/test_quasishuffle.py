@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings
 
@@ -12,6 +13,7 @@ from mzhopf.quasi_shuffle import (
     counit,
     stuffle,
 )
+from mzhopf.shuffle_algebra import shuffle
 
 
 def test_stuffle_frozen_examples():
@@ -37,6 +39,37 @@ def test_stuffle_commutative_associative_sample():
             for c in xs:
                 assert stuffle(stuffle(a, b), c) == stuffle(a, stuffle(b, c))
 
+
+
+def _positional_stuffle(a, b) -> dict:
+    # place a and b in order-preserving slots of a length-k word that uses
+    # every slot; a slot both of them use holds the sum of the two parts
+    out = {}
+    for k in range(max(len(a), len(b)), len(a) + len(b) + 1):
+        for slots_a in combinations(range(k), len(a)):
+            for slots_b in combinations(range(k), len(b)):
+                if len(set(slots_a) | set(slots_b)) < k:
+                    continue
+                word = [0] * k
+                for slot, part in zip(slots_a + slots_b, a + b):
+                    word[slot] += part
+                key = tuple(word)
+                out[key] = out.get(key, 0) + 1
+    return out
+
+
+def test_stuffle_matches_positional_oracle_through_total_weight_nine():
+    pairs = [
+        (a, b)
+        for a in compositions_up_to(9)
+        for b in compositions_up_to(9 - a.weight)
+    ]
+    assert len(pairs) == 2816
+    for a, b in pairs:
+        prod = stuffle(a, b)
+        assert prod == Element(_positional_stuffle(tuple(a), tuple(b))), (a, b)
+        assert all(type(c) is Composition for c in prod.support()), (a, b)
+        assert all(type(c) is Composition for c in shuffle(a, b).support()), (a, b)
 
 
 @given(operand_pairs)
