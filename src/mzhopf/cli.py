@@ -15,7 +15,7 @@ Exit codes
     2  command-line usage error
     3  expression syntax error
     4  domain error (bad composition, divergent series, unit term, product
-       too deep to compute, ...)
+       too deep to compute, input too large for memory, ...)
     5  character table does not cover the requested weight
     6  singular character (no inverse)
     7  a verification check failed
@@ -257,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
 # The first entry that matches wins, so each subclass comes before its base.
 # Every domain error (bad composition or word, divergent series, unit term)
 # is a ValueError, and so are the first three entries; CoverageError is not.
-# A product too deep for the recursion limit is a domain error as well.
+# A product too deep for the recursion limit is a domain error as well, and
+# so is an input too large for memory, such as a zeta cutoff whose arrays
+# cannot be allocated.
 _EXIT_CODES = {
     ExpressionSyntaxError: 3,
     morphisms.SingularCharacterError: 6,
@@ -265,6 +267,7 @@ _EXIT_CODES = {
     morphisms.CoverageError: 5,
     ValueError: 4,
     RecursionError: 4,
+    MemoryError: 4,
     OSError: 9,
 }
 
@@ -278,7 +281,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # only MemoryError can come without a message (Python's own has none)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -182,6 +183,38 @@ def test_domain_error_exit_codes(capsys):
     # [1] is a nonempty composition, so it reaches the series and diverges
     code, _, err = run(capsys, "mzv", "[1]")
     assert code == 4 and "not admissible" in err
+
+
+def _limit_address_space():
+    limit = 600 * 1024 * 1024
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_input_too_large_for_memory_exits_four():
+    # The limit binds only the child, and its first 1.6 GB array fails at
+    # once, so nothing is ever allocated near the limit.
+    src = os.path.dirname(os.path.dirname(mzhopf.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "mzhopf", "mzv", "[2,1]", "--terms", "200000000"],
+        env=env, capture_output=True, text=True, preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert done.returncode == 4
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("error: Unable to allocate")
+    assert "Traceback" not in done.stderr
+
+
+def test_error_line_is_never_empty(capsys, monkeypatch):
+    def no_memory(c, config):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.numeric, "zeta_truncated", no_memory)
+    code, _, err = run(capsys, "mzv", "[2,1]")
+    assert code == 4
+    assert err == "error: out of memory\n"
 
 
 _ONES_700 = "[" + ",".join(["1"] * 700) + "]"

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from mzhopf.compositions import Composition
@@ -44,6 +46,52 @@ def test_zeta_agrees_with_nested_loops():
         assert zeta_truncated(comp, cfg) == pytest.approx(
             _brute_zeta(comp, 40), rel=1e-12
         )
+
+
+def _dense_zeta(c, terms):
+    # dense reference sweep: fresh arrays on every level and a sentinel slot 0
+    n = np.arange(terms + 1, dtype=np.float64)
+    n[0] = 1.0  # avoid 0**negative; slot 0 is zeroed below
+    acc = np.ones(terms + 1)
+    for s in reversed(c):
+        powers = n ** float(-s)
+        powers[0] = 0.0
+        shifted = np.empty(terms + 1)
+        shifted[0] = 0.0
+        shifted[1:] = acc[:-1]
+        acc = np.cumsum(powers * shifted)
+    return float(acc[terms])
+
+
+def test_zeta_bit_identical_to_dense_sweep():
+    # the in-place sweep adds the same terms in the same order
+    rng = random.Random(16)
+    for terms in (10, 11, 57, 1000, 12345, 100_000):
+        cfg = TruncationConfig(terms=terms)
+        for _ in range(40):
+            depth = rng.randint(1, 6)
+            c = (rng.randint(2, 7),) + tuple(rng.randint(1, 5) for _ in range(depth - 1))
+            assert zeta_truncated(c, cfg) == _dense_zeta(c, terms), (c, terms)
+
+
+_ZETA2 = math.pi ** 2 / 6
+
+
+@pytest.mark.parametrize("terms", [1000, 100_000])
+@pytest.mark.parametrize("c, exact, lo, hi", [
+    ((2,), _ZETA2, lambda n: 1 / (n + 1), lambda n: 1 / n),
+    ((4,), math.pi ** 4 / 90, lambda n: (n + 1) ** -3 / 3, lambda n: n ** -3 / 3),
+    ((6,), math.pi ** 6 / 945, lambda n: (n + 1) ** -5 / 5, lambda n: n ** -5 / 5),
+    ((2, 2), math.pi ** 4 / 120, lambda n: 0.0, lambda n: _ZETA2 / n),
+    ((2, 2, 2), math.pi ** 6 / 5040, lambda n: 0.0, lambda n: _ZETA2 ** 2 / n),
+    ((3, 1), math.pi ** 4 / 360, lambda n: 0.0, lambda n: (1 + math.log(n)) / n ** 2),
+], ids=["2", "4", "6", "2,2", "2,2,2", "3,1"])
+def test_zeta_tail_within_bounds_of_closed_forms(c, exact, lo, hi, terms):
+    # the tail of a closed-form value lies between integral and majorant
+    # bounds, widened by the rounding of a sweep over `terms` terms
+    tail = exact - zeta_truncated(c, TruncationConfig(terms=terms))
+    slack = 4 * terms * 2.0 ** -52
+    assert lo(terms) - slack <= tail <= hi(terms) + slack
 
 
 def test_zeta_strictly_ordered_summation():
