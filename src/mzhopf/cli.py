@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("composition", help="admissible composition, e.g. [2,1]")
     p.add_argument(
         "--terms", type=int, default=100_000, metavar="N",
-        help="truncation cutoff (default 100000)",
+        help="truncation cutoff (default 100000, at most 1000000000)",
     )
     _add_format(p)
     p.set_defaults(func=_cmd_mzv)
@@ -258,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 # Every domain error (bad composition or word, divergent series, unit term)
 # is a ValueError, and so are the first three entries; CoverageError is not.
 # A product too deep for the recursion limit is a domain error as well, and
-# so is an input too large for memory, such as a zeta cutoff whose arrays
-# cannot be allocated.
+# so is an input too large for memory, such as a graded matrix at a large
+# ``matrix --horizon``.
 _EXIT_CODES = {
     ExpressionSyntaxError: 3,
     morphisms.SingularCharacterError: 6,

@@ -4,10 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from mzhopf import cli, numeric
 from mzhopf.compositions import Composition
 from mzhopf.elements import Element
 from mzhopf.numeric import (
     DEFAULT_CONFIG,
+    MAX_TERMS,
     DivergentTermError,
     TruncationConfig,
     double_shuffle_residual,
@@ -25,6 +27,21 @@ def test_config_validation():
         TruncationConfig(tolerance=0)
     assert DEFAULT_CONFIG.terms == 100_000
     assert DEFAULT_CONFIG.tolerance == 1e-3
+    assert TruncationConfig(terms=MAX_TERMS).terms == MAX_TERMS
+    with pytest.raises(ValueError, match="at most"):
+        TruncationConfig(terms=MAX_TERMS + 1)
+    with pytest.raises(TypeError, match="terms must be an integer, not float"):
+        TruncationConfig(terms=100.5)
+
+
+def test_cutoff_above_the_cap_exits_four_at_once(capsys):
+    # refused before the sweep starts, which would take about 11 hours
+    code = cli.main(["mzv", "[2]", "--terms", "10000000000000"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: truncation takes at most 1000000000 terms")
+    assert err.count("\n") == 1
 
 
 def test_zeta_frozen_small_cutoff():
@@ -63,15 +80,36 @@ def _dense_zeta(c, terms):
     return float(acc[terms])
 
 
+def _random_admissible(rng):
+    depth = rng.randint(1, 6)
+    return (rng.randint(2, 7),) + tuple(rng.randint(1, 5) for _ in range(depth - 1))
+
+
 def test_zeta_bit_identical_to_dense_sweep():
-    # the in-place sweep adds the same terms in the same order
+    # the blocked sweep adds the same terms in the same order; the cutoffs
+    # around multiples of the block size end a block one index early, on
+    # time or one index late
     rng = random.Random(16)
-    for terms in (10, 11, 57, 1000, 12345, 100_000):
+    cutoffs = [(n, 40) for n in (10, 11, 57, 1000, 12345, 100_000)]
+    cutoffs += [(n, 6) for n in (65_535, 65_536, 65_537, 131_073, 200_003)]
+    for terms, pairs in cutoffs:
         cfg = TruncationConfig(terms=terms)
-        for _ in range(40):
-            depth = rng.randint(1, 6)
-            c = (rng.randint(2, 7),) + tuple(rng.randint(1, 5) for _ in range(depth - 1))
+        for _ in range(pairs):
+            c = _random_admissible(rng)
             assert zeta_truncated(c, cfg) == _dense_zeta(c, terms), (c, terms)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_zeta_bit_identical_to_dense_sweep_in_small_blocks(monkeypatch, chunk):
+    # many blocks per call carry every level's sum across many boundaries;
+    # the uncached sweep is called so that no earlier value can answer
+    monkeypatch.setattr(numeric, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for terms in (10, 11, 63, 64, 65, 449):
+        for _ in range(12):
+            c = Composition(_random_admissible(rng))
+            assert numeric._zeta_dp.__wrapped__(c, terms) == _dense_zeta(c, terms), (
+                chunk, c, terms)
 
 
 _ZETA2 = math.pi ** 2 / 6
