@@ -257,9 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
 # The first entry that matches wins, so each subclass comes before its base.
 # Every domain error (bad composition or word, divergent series, unit term)
 # is a ValueError, and so are the first three entries; CoverageError is not.
-# A product too deep for the recursion limit is a domain error as well, and
-# so is an input too large for memory, such as a graded matrix at a large
-# ``matrix --horizon``.
+# A product too deep for the recursion limit is a domain error as well:
+# ``quasi_shuffle._quasi_shuffle`` still takes one frame per letter, so
+# ``[300] sh [300]`` raises RecursionError.  So is an input too large for
+# memory, such as a graded matrix at a large ``matrix --horizon``.
 _EXIT_CODES = {
     ExpressionSyntaxError: 3,
     morphisms.SingularCharacterError: 6,

@@ -27,6 +27,7 @@ arithmetic consistency the residual is tail noise only.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -77,8 +78,9 @@ class TruncationConfig:
             raise ValueError("truncation needs at least 10 terms")
         if terms > MAX_TERMS:
             raise ValueError(f"truncation takes at most {MAX_TERMS} terms")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # a chained test, so NaN fails it: residual > nan would pass every check
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
 
 
 DEFAULT_CONFIG = TruncationConfig()

@@ -2,13 +2,26 @@
 
 One cached recursion computes both products of this package, which are
 quasi-shuffles (Hoffman, "Quasi-shuffle products", J. Algebraic Combin. 11,
-2000).  For first letters ``a, b`` with the bracket ``<a,b>``:
+2000).  For last letters ``a, b`` with the bracket ``<a,b>``:
 
-    [a, u] * [b, v] = [a, u * [b,v]] + [b, [a,u] * v] + [<a,b>, u * v]
+    [u, a] * [v, b] = [u * [v,b], a] + [[u,a] * v, b] + [u * v, <a,b>]
 
 The stuffle's letters are parts, with ``<s,t> = s + t``, as in the product of
 nested series: ``stuffle([2], [2]) = 2*[2,2] + [4]``.  The shuffle is the case
 of ``x0, x1`` words with the zero bracket, which drops the third term.
+
+The recursion runs on integer codes of the ``x0, x1`` word of a composition:
+a leading 1 bit, then one bit per letter, so ``[s1, ..., sk]`` is built by
+``w = (w << s) | 1`` per part and the unit is ``1``.  A letter ``(k, x)`` is
+appended to a code as ``(w << k) | x``: a shuffle letter is one bit, a
+stuffle letter ``s`` is ``(s, 1)``, and ``s`` is one more than the trailing
+zeros of ``w >> 1``.  Each cache entry is two tuples, ``(codes, counts)``.
+The product encodes each input term once, sums in integers over one common
+denominator, and decodes each distinct output code once to a
+``Composition`` after the sums are made exact; no ``str`` word or
+``Composition`` is built inside the recursion.  It takes one stack frame
+per letter, so products of words of several hundred letters exceed the
+recursion limit.
 
 The coproduct is deconcatenation, the counit picks the unit coefficient,
 and the antipode has the closed quasisymmetric-function form
@@ -43,50 +56,71 @@ __all__ = [
 ]
 
 
+def _code(c) -> int:
+    """The integer code of the ``x0, x1`` word of ``c``: a leading 1 bit, then
+    one bit per letter, so ``bin(_code(c))[3:] == encode_word(c)``."""
+    w = 1
+    for s in c:
+        w = (w << s) | 1
+    return w
+
+
+@lru_cache(maxsize=1 << 16)
+def _decode(w: int) -> Composition:
+    """The composition of a code whose word is empty or ends in ``x1``."""
+    # each run of x0 letters before an x1 is one part less one; the parts of
+    # such a word are >= 1, so the validating constructor is skipped
+    return tuple.__new__(Composition, [len(run) + 1 for run in bin(w)[3:].split("1")[:-1]])
+
+
 @lru_cache(maxsize=1 << 18)
-def _quasi_shuffle(u, v, unit, bracket: bool) -> tuple:
-    # the recursion of the module docstring; callers keep u <= v, so each
-    # unordered pair is cached once and only u can be empty
-    if not v:
-        return ((unit, 1),)
-    steps = [(v[:1], _pair(u, v[1:], unit, bracket))]
-    if u:
-        steps.insert(0, (u[:1], _pair(u[1:], v, unit, bracket)))
-        if bracket:
-            steps.append(((u[0] + v[0],), _pair(u[1:], v[1:], unit, bracket)))
+def _quasi_shuffle(u: int, v: int, bracket: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # the recursion of the module docstring on last letters; callers keep
+    # u <= v, so each unordered pair is cached once and only u can be the unit
+    if u == 1:
+        return (v,), (1,)
+    if bracket:
+        # a last part s is s - 1 trailing x0 letters before the final x1
+        s = ((u >> 1) & -(u >> 1)).bit_length()
+        t = ((v >> 1) & -(v >> 1)).bit_length()
+        steps = (
+            (s, 1, _pair(u >> s, v, True)),
+            (t, 1, _pair(u, v >> t, True)),
+            (s + t, 1, _pair(u >> s, v >> t, True)),
+        )
+    else:
+        steps = ((1, u & 1, _pair(u >> 1, v, False)), (1, v & 1, _pair(u, v >> 1, False)))
     out = {}
     get = out.get
-    for first, cells in steps:
-        # a one-letter head joined to cached keys: for compositions only the
-        # head goes through the validating constructor
-        head = unit + first
-        for w, n in cells:
-            key = head + w
+    for k, x, (codes, counts) in steps:
+        # appending the letter (k, x) to a cached code
+        for w, n in zip(codes, counts):
+            key = (w << k) | x
             out[key] = get(key, 0) + n
-    return tuple(out.items())
+    return tuple(out), tuple(out.values())
 
 
-def _pair(u, v, unit, bracket: bool) -> tuple:
-    """The quasi-shuffle ``u * v`` as ``((unit + word, int), ...)`` of two
-    ``x0, x1`` words (``unit = ""``) or tuples of parts (``unit = UNIT``)."""
-    return _quasi_shuffle(u, v, unit, bracket) if u <= v else _quasi_shuffle(v, u, unit, bracket)
+def _pair(u: int, v: int, bracket: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The quasi-shuffle of two codes as ``(codes, counts)``: the shuffle of
+    their words, or with ``bracket`` the stuffle of their compositions."""
+    return _quasi_shuffle(u, v, bracket) if u <= v else _quasi_shuffle(v, u, bracket)
 
 
-def _product(a, b, encode, unit, bracket: bool) -> dict:
-    """Bilinear extension of :func:`_pair` to elements, as ``{key: exact
-    coefficient}``; ``encode`` maps a composition to a word of the alphabet."""
-    da, left = common_denominator((encode(c), q) for c, q in as_element(a)._terms.items())
-    db, right = common_denominator((encode(c), q) for c, q in as_element(b)._terms.items())
-    return scaled_sum(
-        ((_pair(u, v, unit, bracket), m * n) for u, m in left for v, n in right),
+def _product(a, b, bracket: bool) -> dict:
+    """Bilinear extension of :func:`_pair` to elements, as ``{composition:
+    exact coefficient}``; each distinct output code is decoded once."""
+    da, left = common_denominator((_code(c), q) for c, q in as_element(a)._terms.items())
+    db, right = common_denominator((_code(c), q) for c, q in as_element(b)._terms.items())
+    by_code = scaled_sum(
+        ((zip(*_pair(u, v, bracket)), m * n) for u, m in left for v, n in right),
         da * db,
     )
+    return {_decode(w): q for w, q in by_code.items()}
 
 
 def stuffle(a, b) -> Element:
     """Bilinear stuffle (quasi-shuffle) product; compositions are promoted."""
-    # plain tuples order natively; Compositions of two weights do not compare
-    return Element._raw(_product(a, b, tuple, UNIT, True))
+    return Element._raw(_product(a, b, True))
 
 
 def coproduct(e) -> TensorElement:

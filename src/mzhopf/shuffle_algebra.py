@@ -43,10 +43,11 @@ from itertools import combinations_with_replacement
 
 from .compositions import (
     UNIT,
+    X0,
+    X1,
     Composition,
     Word,
-    decode_word,
-    encode_word,
+    WordDecodeError,
 )
 from .elements import (
     Element,
@@ -83,15 +84,20 @@ class UnitTermError(ValueError):
 
 
 def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
-    """Multiset of interleavings of two words, as word -> multiplicity."""
-    return dict(_pair(u, v, "", False))
+    """Multiset of interleavings of two words, as word -> multiplicity.
+
+    Raises WordDecodeError on a letter other than ``X0`` or ``X1``.
+    """
+    for w in (u, v):
+        if set(w) - {X0, X1}:
+            raise WordDecodeError(f"word {w!r} has letters outside {{{X0!r}, {X1!r}}}")
+    codes, counts = _pair(int("1" + u, 2), int("1" + v, 2), False)
+    return {bin(w)[3:]: n for w, n in zip(codes, counts)}
 
 
 def shuffle(a, b) -> Element:
     """Bilinear shuffle product of two elements (compositions promoted)."""
-    # summed by word, so each distinct output word is decoded once
-    by_word = _product(a, b, encode_word, "", False)
-    return Element._raw({decode_word(w): q for w, q in by_word.items()})
+    return Element._raw(_product(a, b, False))
 
 
 def rota_baxter(e) -> Element:

@@ -23,8 +23,10 @@ from mzhopf.shuffle_algebra import shuffle
 def test_config_validation():
     with pytest.raises(ValueError):
         TruncationConfig(terms=5)
-    with pytest.raises(ValueError):
-        TruncationConfig(tolerance=0)
+    for bad in (float("nan"), float("inf"), 0, -1):
+        # NaN and +inf would make every residual check pass
+        with pytest.raises(ValueError, match="positive and finite"):
+            TruncationConfig(tolerance=bad)
     assert DEFAULT_CONFIG.terms == 100_000
     assert DEFAULT_CONFIG.tolerance == 1e-3
     assert TruncationConfig(terms=MAX_TERMS).terms == MAX_TERMS

@@ -4,9 +4,17 @@ from itertools import combinations
 from hypothesis import given, settings
 
 from conftest import operand_pairs
-from mzhopf.compositions import UNIT, Composition, compositions_up_to, enumerate_basis
+from mzhopf.compositions import (
+    UNIT,
+    Composition,
+    compositions_up_to,
+    encode_word,
+    enumerate_basis,
+)
 from mzhopf.elements import Element, TensorElement, componentwise_product
 from mzhopf.quasi_shuffle import (
+    _code,
+    _decode,
     antipode,
     canonical_character,
     coproduct,
@@ -14,6 +22,17 @@ from mzhopf.quasi_shuffle import (
     stuffle,
 )
 from mzhopf.shuffle_algebra import shuffle
+
+
+def test_word_codes_round_trip_through_weight_twelve():
+    # the product kernel's keys: a leading 1 bit, then the word's letters
+    basis = list(compositions_up_to(12))
+    assert len(basis) == 4096
+    for c in basis:
+        w = _code(c)
+        assert bin(w)[3:] == encode_word(c)
+        d = _decode(w)
+        assert d == c and type(d) is Composition
 
 
 def test_stuffle_frozen_examples():

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 
 from conftest import operand_pairs
 from mzhopf import cli
-from mzhopf.compositions import UNIT, Composition, compositions_up_to, enumerate_basis
+from mzhopf.compositions import (
+    UNIT,
+    Composition,
+    WordDecodeError,
+    compositions_up_to,
+    enumerate_basis,
+)
 from mzhopf.elements import Element, TensorElement, componentwise_product
 from mzhopf.shuffle_algebra import (
     UnitTermError,
@@ -35,6 +41,13 @@ def test_shuffle_words_basic():
     assert shuffle_words("01", "1") == {"011": 2, "101": 1}
     assert shuffle_words("", "01") == {"01": 1}
     assert shuffle_words("0", "1") == {"01": 1, "10": 1}
+    assert shuffle_words("", "") == {"": 1}
+    # int("1" + u, 2) alone would read "0_1" and "01 " as "01"
+    for bad in ("0_1", "01 ", "2"):
+        with pytest.raises(WordDecodeError):
+            shuffle_words(bad, "1")
+        with pytest.raises(WordDecodeError):
+            shuffle_words("1", bad)
 
 
 def test_shuffle_frozen_examples():
