@@ -10,10 +10,13 @@ over blocks of at most 2^16 indices, every part of the composition in turn
 within a block.  Each level carries its running sum, and its value at the
 block's last index, into the next block, so the additions are those of one
 dense cumulative sum per level, in the same order, and every value is
-bit-identical to that dense sweep.  Three float64 buffers of one block are
-allocated once per call: about 1.5 MB for any cutoff.  The cutoff is capped
-at ``MAX_TERMS`` = 1e9 terms.  Truncation is
-a hard cutoff on the outer index, and the tail decays only like
+bit-identical to that dense sweep.  A part value that occurs at two or more
+levels, as in [2,1,1,1,1,1] or [3,1,3,1], has its powers j^-s computed once
+per block and read by each of those levels.  Three float64 work buffers and
+one power buffer per repeated value, r in all, are allocated once per call;
+a block holds 3 * 2^16 // (3 + r) indices, so they take about 1.5 MB for
+any cutoff.  The cutoff is capped at ``MAX_TERMS`` = 1e9 terms.  Truncation
+is a hard cutoff on the outer index, and the tail decays only like
 (log N)^(depth-1) / N.  At the default N = 100000 it is about 1e-5 for [2]
 and 1.3e-4 for [2,1], but zeta_N([2,1,1,1,1,1]) - zeta(7) = -3.1e-2, far
 above the default comparison tolerance of 1e-3; deep compositions with
@@ -85,14 +88,23 @@ class TruncationConfig:
 
 DEFAULT_CONFIG = TruncationConfig()
 
-# Indices per block of the zeta sweep: three arrays of about this many float64
-# entries, 1.5 MB in all, whatever the cutoff.
+# Indices per block of the zeta sweep without repeated parts: three arrays of
+# about this many float64 entries, 1.5 MB in all, whatever the cutoff.  Each
+# repeated part adds a power buffer and shortens the block to keep that size.
 _CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=4096)
 def _zeta_dp(c: Composition, terms: int) -> float:
     """zeta_N(c) by one in-place cumulative-sum recurrence, innermost part first.
+
+    A part value that occurs at two or more levels has its powers j^-s
+    computed once per block into a buffer of its own, which every such level
+    reads without writing; a part that occurs once is powered into the work
+    buffer.  With r such buffers a block holds min(terms, 3 * _CHUNK // (3 + r))
+    indices (at least one), so the 3 + r arrays of one block stay within
+    about 1.5 MB.  The additions do not depend on the block length, so every
+    value is the same as with r = 0.
 
     The cache keeps its place for callers that repeat (composition, cutoff)
     pairs: ``verify --suite double-shuffle`` makes 365 hits in 512 calls,
@@ -102,18 +114,29 @@ def _zeta_dp(c: Composition, terms: int) -> float:
     # imported here so that the exact-algebra commands never load numpy
     import numpy as np
 
-    chunk = min(_CHUNK, terms)
+    parts = c[::-1]  # innermost part first
+    repeated = sorted({s for s in parts if parts.count(s) > 1})
+    chunk = min(terms, max(1, 3 * _CHUNK // (3 + len(repeated))))
     j = np.arange(1, chunk + 1, dtype=np.float64)  # the indices of the block
     acc = np.empty(chunk + 1)  # acc[i]: the level last swept, at index base - 1 + i
     buf = np.empty(chunk)
+    powers = {s: np.empty(chunk) for s in repeated}  # j^-s, read-only within a block
     last = [0.0] * len(c)  # last[l]: level l summed over every index so far
     for base in range(1, terms + 1, chunk):
         m = min(chunk, terms + 1 - base)
         jm, bm = j[:m], buf[:m]
-        for l, s in enumerate(reversed(c)):
-            np.power(jm, float(-s), out=bm)
-            if l:  # the level below the innermost part is all ones
-                bm *= acc[:m]
+        for s, pw in powers.items():
+            np.power(jm, float(-s), out=pw[:m])
+        for l, s in enumerate(parts):
+            pw = powers.get(s)
+            if pw is None:
+                np.power(jm, float(-s), out=bm)
+                if l:  # the level below the innermost part is all ones
+                    bm *= acc[:m]
+            elif l:
+                np.multiply(pw[:m], acc[:m], out=bm)
+            else:
+                bm[:] = pw[:m]
             bm[0] += last[l]
             acc[0] = last[l]
             np.cumsum(bm, out=acc[1:m + 1])

@@ -1,10 +1,14 @@
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mzhopf
 from mzhopf import cli, verify
@@ -286,3 +290,58 @@ def test_report_write_failure_exit_code(capsys, tmp_path):
         "--report", str(bad),
     )
     assert code == 9
+
+
+def _composition_texts(max_parts):
+    """A composition as typed on the command line, well formed or not."""
+    parts = st.lists(st.integers(-1, 4), max_size=max_parts)
+    return st.one_of(
+        parts.map(str),
+        parts.map(lambda p: ",".join(map(str, p))),
+        st.text(alphabet="[]01234,-x /", max_size=8),
+    )
+
+
+# literals of at most two parts keep a chain of three products small
+_literals = st.lists(st.integers(1, 3), min_size=1, max_size=2).map(str)
+_expressions = st.one_of(
+    st.tuples(_literals, st.sampled_from(["+", "-", "sh", "st"]), _literals).map(" ".join),
+    st.lists(
+        st.one_of(
+            _composition_texts(2),
+            st.sampled_from(["sh", "st", "+", "-", "*", "(", ")", "1/2", "3", "1"]),
+        ),
+        min_size=1, max_size=5,
+    ).map(" ".join),
+)
+
+_admissible = st.lists(st.integers(1, 4), max_size=5).flatmap(
+    lambda rest: st.integers(2, 4).map(lambda s: str([s] + rest)))
+
+_argvs = st.one_of(
+    st.tuples(st.just("mzv"), st.one_of(_admissible, _composition_texts(6)),
+              st.just("--terms"), st.integers(10, 5000).map(str)),
+    st.tuples(st.just("eval"), _expressions, st.just("--format"),
+              st.sampled_from(["text", "json"])),
+    st.tuples(st.just("psi"), _expressions, st.just("--horizon"),
+              st.integers(-1, 6).map(str)),
+    st.tuples(st.just("verify"), st.just("--suite"), st.sampled_from(verify.SUITE_NAMES),
+              st.just("--max-weight"), st.integers(-1, 2).map(str)),
+).flatmap(lambda argv: st.sampled_from(
+    # mostly whole command lines; some lose their last value or gain a bad flag
+    [list(argv)] * 3 + [list(argv[:-1]), list(argv) + ["--nope"]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_argvs)
+def test_random_command_lines_keep_the_exit_code_contract(argv):
+    # nothing escapes main; a nonzero exit explains itself in one error line
+    # or a usage message (a failed check, exit 7, would be a bug on its own)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4, 5, 6, 7, 8, 9), (argv, code)
+    if code:
+        text = err.getvalue()
+        one_error = text.startswith("error: ") and text.count("\n") == 1
+        assert one_error or text.startswith("usage: "), (argv, code, text)

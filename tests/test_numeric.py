@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,17 +102,37 @@ def test_zeta_bit_identical_to_dense_sweep():
             assert zeta_truncated(c, cfg) == _dense_zeta(c, terms), (c, terms)
 
 
+# parts that repeat shorten the block and are read from a shared power buffer;
+# (2,2,2,2) copies that buffer at the innermost level
+_REPEATED_PARTS = [(2, 2, 2, 2), (3, 1, 3, 1), (2, 1, 3, 1, 1), (2, 1, 1, 1, 1, 1)]
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_zeta_bit_identical_to_dense_sweep_in_small_blocks(monkeypatch, chunk):
     # many blocks per call carry every level's sum across many boundaries;
-    # the uncached sweep is called so that no earlier value can answer
+    # the uncached sweep is called so that no earlier value can answer.  At
+    # chunk 1, 3 // (3 + r) is 0, so the repeated parts also check that a
+    # block keeps at least one index (range() refuses a step of 0)
     monkeypatch.setattr(numeric, "_CHUNK", chunk)
     rng = random.Random(chunk)
     for terms in (10, 11, 63, 64, 65, 449):
-        for _ in range(12):
-            c = Composition(_random_admissible(rng))
+        randoms = [_random_admissible(rng) for _ in range(12)]
+        for c in map(Composition, randoms + _REPEATED_PARTS):
             assert numeric._zeta_dp.__wrapped__(c, terms) == _dense_zeta(c, terms), (
                 chunk, c, terms)
+
+
+@pytest.mark.parametrize("c", [(2, 1, 1, 1, 1, 1), (3, 1, 3, 1), (2, 2, 2), (3, 2, 1, 3, 2, 1)])
+def test_zeta_sweep_memory_stays_within_three_blocks(c):
+    # j, acc, buf and one power buffer per repeated part share 3 * 2^16
+    # float64 entries (1.5 MiB); tracemalloc sees numpy's buffers
+    tracemalloc.start()
+    try:
+        numeric._zeta_dp.__wrapped__(Composition(c), 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 2 ** 20
 
 
 _ZETA2 = math.pi ** 2 / 6
