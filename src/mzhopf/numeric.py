@@ -88,9 +88,8 @@ class TruncationConfig:
 
 DEFAULT_CONFIG = TruncationConfig()
 
-# Indices per block of the zeta sweep without repeated parts: three arrays of
-# about this many float64 entries, 1.5 MB in all, whatever the cutoff.  Each
-# repeated part adds a power buffer and shortens the block to keep that size.
+# Indices per block of the zeta sweep with no shared power buffers: three
+# arrays of about this many float64 entries, 1.5 MB in all, whatever the cutoff.
 _CHUNK = 1 << 16
 
 
@@ -114,8 +113,7 @@ def _zeta_dp(c: Composition, terms: int) -> float:
     # imported here so that the exact-algebra commands never load numpy
     import numpy as np
 
-    parts = c[::-1]  # innermost part first
-    repeated = sorted({s for s in parts if parts.count(s) > 1})
+    repeated = {s for s in c if c.count(s) > 1}
     chunk = min(terms, max(1, 3 * _CHUNK // (3 + len(repeated))))
     j = np.arange(1, chunk + 1, dtype=np.float64)  # the indices of the block
     acc = np.empty(chunk + 1)  # acc[i]: the level last swept, at index base - 1 + i
@@ -127,16 +125,13 @@ def _zeta_dp(c: Composition, terms: int) -> float:
         jm, bm = j[:m], buf[:m]
         for s, pw in powers.items():
             np.power(jm, float(-s), out=pw[:m])
-        for l, s in enumerate(parts):
-            pw = powers.get(s)
-            if pw is None:
-                np.power(jm, float(-s), out=bm)
-                if l:  # the level below the innermost part is all ones
-                    bm *= acc[:m]
-            elif l:
-                np.multiply(pw[:m], acc[:m], out=bm)
-            else:
-                bm[:] = pw[:m]
+        for l, s in enumerate(reversed(c)):
+            # a part that occurs once is powered straight into the work buffer
+            pw = powers[s][:m] if s in powers else np.power(jm, float(-s), out=bm)
+            if l:  # the level below the innermost part is all ones
+                np.multiply(pw, acc[:m], out=bm)
+            elif s in powers:
+                bm[:] = pw
             bm[0] += last[l]
             acc[0] = last[l]
             np.cumsum(bm, out=acc[1:m + 1])

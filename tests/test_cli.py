@@ -336,11 +336,12 @@ _argvs = st.one_of(
 @given(_argvs)
 def test_random_command_lines_keep_the_exit_code_contract(argv):
     # nothing escapes main; a nonzero exit explains itself in one error line
-    # or a usage message (a failed check, exit 7, would be a bug on its own)
+    # or a usage message.  Only verify exits 7, when a check fails, and every
+    # check holds up to weight 2
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
-    assert code in (0, 2, 3, 4, 5, 6, 7, 8, 9), (argv, code)
+    assert code in (0, 2, 3, 4, 5, 6, 8, 9), (argv, code)
     if code:
         text = err.getvalue()
         one_error = text.startswith("error: ") and text.count("\n") == 1

@@ -122,7 +122,8 @@ def test_zeta_bit_identical_to_dense_sweep_in_small_blocks(monkeypatch, chunk):
                 chunk, c, terms)
 
 
-@pytest.mark.parametrize("c", [(2, 1, 1, 1, 1, 1), (3, 1, 3, 1), (2, 2, 2), (3, 2, 1, 3, 2, 1)])
+@pytest.mark.parametrize("c", [(2, 1, 1, 1, 1, 1), (3, 1, 3, 1), (2, 2, 2), (3, 2, 1, 3, 2, 1),
+                               (3, 2, 1)])
 def test_zeta_sweep_memory_stays_within_three_blocks(c):
     # j, acc, buf and one power buffer per repeated part share 3 * 2^16
     # float64 entries (1.5 MiB); tracemalloc sees numpy's buffers
