@@ -15,7 +15,10 @@ a leading 1 bit, then one bit per letter, so ``[s1, ..., sk]`` is built by
 ``w = (w << s) | 1`` per part and the unit is ``1``.  A letter ``(k, x)`` is
 appended to a code as ``(w << k) | x``: a shuffle letter is one bit, a
 stuffle letter ``s`` is ``(s, 1)``, and ``s`` is one more than the trailing
-zeros of ``w >> 1``.  Each cache entry is two tuples, ``(codes, counts)``.
+zeros of ``w >> 1``.  Each cache entry is a pair ``(codes, counts)`` of
+``array("Q")``, two machine words per term.  An entry with a code of
+``2**64`` or more, an output word of 64 or more letters (weight >= 64), or a
+count that large keeps two tuples of ``int`` instead, as does the unit entry.
 The product encodes each input term once, sums in integers over one common
 denominator, and decodes each distinct output code once to a
 ``Composition`` after the sums are made exact; no ``str`` word or
@@ -34,6 +37,8 @@ and every depth-one composition to 1 and deeper compositions to 0.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -74,7 +79,7 @@ def _decode(w: int) -> Composition:
 
 
 @lru_cache(maxsize=1 << 18)
-def _quasi_shuffle(u: int, v: int, bracket: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _quasi_shuffle(u: int, v: int, bracket: bool) -> tuple[Sequence[int], Sequence[int]]:
     # the recursion of the module docstring on last letters; callers keep
     # u <= v, so each unordered pair is cached once and only u can be the unit
     if u == 1:
@@ -97,10 +102,16 @@ def _quasi_shuffle(u: int, v: int, bracket: bool) -> tuple[tuple[int, ...], tupl
         for w, n in zip(codes, counts):
             key = (w << k) | x
             out[key] = get(key, 0) + n
-    return tuple(out), tuple(out.values())
+    try:
+        # from a list an array is allocated at its exact size; from a dict
+        # view it grows item by item and over-allocates by about 6 %
+        return array("Q", list(out)), array("Q", list(out.values()))
+    except OverflowError:
+        # a code or count of 2**64 or more, as in the module docstring
+        return tuple(out), tuple(out.values())
 
 
-def _pair(u: int, v: int, bracket: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _pair(u: int, v: int, bracket: bool) -> tuple[Sequence[int], Sequence[int]]:
     """The quasi-shuffle of two codes as ``(codes, counts)``: the shuffle of
     their words, or with ``bracket`` the stuffle of their compositions."""
     return _quasi_shuffle(u, v, bracket) if u <= v else _quasi_shuffle(v, u, bracket)

@@ -1,4 +1,5 @@
 import json
+from array import array
 from fractions import Fraction
 from math import comb, factorial
 
@@ -15,6 +16,7 @@ from mzhopf.compositions import (
     enumerate_basis,
 )
 from mzhopf.elements import Element, TensorElement, componentwise_product
+from mzhopf.quasi_shuffle import _code, _pair
 from mzhopf.shuffle_algebra import (
     UnitTermError,
     _antipode_basis,
@@ -98,6 +100,26 @@ def test_shuffle_coefficient_sum_is_binomial():
                 for b in enumerate_basis(n):
                     total = sum(q for _, q in shuffle(a, b).terms())
                     assert total == comb(m + n, m)
+
+
+def test_shuffle_of_two_depth_one_compositions_is_eulers_decomposition():
+    # [40] sh [30] has weight 70, so its top kernel entry holds codes of 2^64
+    # or more and keeps tuples; an entry below weight 64 is an array
+    expected = {
+        (j, 70 - j): comb(j - 1, 39) + comb(j - 1, 29) for j in range(30, 70)
+    }
+    assert len(expected) == 40
+    assert shuffle((40,), (30,)) == Element(expected)
+    u, v = _code((30,)), _code((40,))
+    assert all(type(x) is tuple for x in _pair(u, v, False))
+    assert all(type(x) is array for x in _pair(u, v >> 10, False))
+
+
+def test_shuffle_of_ones_is_a_binomial_multiple():
+    # C(80, 40) is past 2^64, like the code of [1^80]
+    assert comb(80, 40) == 107507208733336176461620
+    ones = Composition((1,) * 40)
+    assert shuffle(ones, ones) == Element.basis((1,) * 80, comb(80, 40))
 
 
 def test_rota_baxter_increments_first_part():
