@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -129,16 +130,12 @@ def _cmd_psi_inv(args) -> int:
 def _cmd_matrix(args) -> int:
     chi = _load_character(args)
     mat = morphisms.morphism_matrix(chi, args.weight)
-    if args.format == "table":
-        print(mat.to_table())
-    elif args.format == "csv":
-        print(mat.to_csv(), end="")
-    else:
-        print(json.dumps({
-            "weight": mat.weight,
-            "basis": [list(c) for c in mat.basis],
-            "entries": mat.cells(),
-        }))
+    # Streamed line by line.  Every text is made before the first write, so
+    # only a failed write (a closed pipe: exit 9) stops the output part way.
+    render = {"table": mat.to_table, "csv": mat.to_csv, "json": mat.to_json}[args.format]
+    render(sys.stdout)
+    if args.format != "csv":
+        sys.stdout.write("\n")  # one more newline, as these formats always had
     return 0
 
 
@@ -288,7 +285,18 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        # Output still buffered could not be written, say to a pipe its
+        # reader closed.  Point stdout at the null device, or Python's own
+        # flush at exit fails again and turns the exit code into 120.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code == 0:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 9
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -36,11 +36,12 @@ handed to callers.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, TextIO
 
 from .compositions import UNIT, Composition, enumerate_basis
 from .elements import (
@@ -302,7 +303,8 @@ class GradedMatrix:
     ``entries[row][col]`` is the coefficient of ``basis[row]`` in the image
     of ``basis[col]``, built densely on first use.  For induced-morphism
     matrices this is upper triangular with the diagonal products described
-    in the module docstring.
+    in the module docstring.  The text renderings never use ``entries``:
+    they are made row by row from a compact row index (``_row_index``).
     """
 
     weight: int
@@ -346,51 +348,101 @@ class GradedMatrix:
 
     def cells(self) -> list[list[str]]:
         """``str`` of every entry, row by row; zero entries read ``"0"``."""
-        return list(self._rows(self._texts(), [0] * self.dimension))
+        cols, texts, _ = self._row_index()
+        return list(_rows(cols, texts, [0] * self.dimension))
 
-    def to_csv(self) -> str:
-        rows = self._rows(self._texts(), [0] * self.dimension)
-        lines = [",".join(str(c) for c in self.basis)]
-        lines.extend(",".join(row) for row in rows)
-        return "\n".join(lines) + "\n"
+    # Each renderer below makes every text and width before its first line,
+    # so an error while they are made writes nothing to ``out``; only a
+    # failing ``out.write`` can stop the output part way.
 
-    def to_table(self) -> str:
+    def to_csv(self, out: TextIO | None = None) -> str | None:
+        """The matrix as CSV, the basis as its header line.  With ``out``,
+        each line is written to it as it is made and None is returned."""
+        return _deliver(self._csv_lines(), out)
+
+    def to_table(self, out: TextIO | None = None) -> str | None:
+        """The matrix as a table aligned right in columns, labelled by the
+        basis; ``out`` as for :meth:`to_csv`."""
+        return _deliver(self._table_lines(), out)
+
+    def to_json(self, out: TextIO | None = None) -> str | None:
+        """``json.dumps`` of ``{"weight", "basis", "entries": cells()}``,
+        with no dense grid of cells held; ``out`` as for :meth:`to_csv`."""
+        return _deliver(self._json_lines(), out)
+
+    def _csv_lines(self) -> Iterator[str]:
+        cols, texts, _ = self._row_index()
+        yield ",".join(str(c) for c in self.basis) + "\n"
+        for row in _rows(cols, texts, [0] * self.dimension):
+            yield ",".join(row) + "\n"
+
+    def _table_lines(self) -> Iterator[str]:
         headers = [str(c) for c in self.basis]
-        texts = self._texts()
+        cols, texts, widths = self._row_index()
         # a header is never narrower than "[1]", so zeros never set a width
-        widths = [len(h) for h in headers]
-        for row in texts:
-            for j, s in row:
-                if len(s) > widths[j]:
-                    widths[j] = len(s)
+        widths = [max(len(h), w) for h, w in zip(headers, widths)]
         stub = max(len(h) for h in headers)
-        lines = [
-            " " * stub
-            + "  "
-            + "  ".join(h.rjust(w) for h, w in zip(headers, widths))
-        ]
-        for label, row in zip(headers, self._rows(texts, widths)):
-            lines.append(label.rjust(stub) + "  " + "  ".join(row))
-        return "\n".join(lines) + "\n"
+        yield " " * stub + "  " + "  ".join(h.rjust(w) for h, w in zip(headers, widths)) + "\n"
+        for label, row in zip(headers, _rows(cols, texts, widths)):
+            yield label.rjust(stub) + "  " + "  ".join(row) + "\n"
 
-    def _texts(self) -> list[list[tuple[int, str]]]:
-        """Per row, ``(column, str(entry))`` for its nonzero entries."""
+    def _json_lines(self) -> Iterator[str]:
+        """The document in pieces: one per row, the first and last also
+        carrying the text before and after the rows."""
+        cols, texts, _ = self._row_index()
+        basis = json.dumps([list(c) for c in self.basis])
+        sep = f'{{"weight": {self.weight}, "basis": {basis}, "entries": ['
+        for row in _rows(cols, texts, [0] * self.dimension):
+            yield sep + json.dumps(row)
+            sep = ", "
+        yield "]}"
+
+    def _row_index(self) -> tuple[list[array], list[list[str]], list[int]]:
+        """Per row, the columns of its nonzero entries as an ``array('I')``
+        and their texts in a parallel list; and per column, the length of
+        its longest text.  Each distinct value is made into text once, and
+        every entry with that value shares the one string."""
         index = self._index
-        texts: list[list[tuple[int, str]]] = [[] for _ in self.basis]
+        cols = [array("I") for _ in self.basis]
+        texts: list[list[str]] = [[] for _ in self.basis]
+        widths = []
+        known: dict[int, dict[int, str]] = {}  # den -> numerator -> text
         for j, (den, nums) in enumerate(self.columns):
+            made = known.setdefault(den, {})
+            width = 0
             for d, n in nums.items():
-                texts[index[d]].append((j, _fraction_text(n, den)))
-        return texts
+                s = made.get(n)
+                if s is None:
+                    s = made[n] = _fraction_text(n, den)
+                i = index[d]
+                cols[i].append(j)
+                texts[i].append(s)
+                if len(s) > width:
+                    width = len(s)
+            widths.append(width)
+        return cols, texts, widths
 
-    def _rows(self, texts, widths: list[int]):
-        """Rows of entry texts, each right-justified to its column's width;
-        rows are made one at a time, so no dense grid is ever held."""
-        zeros = ["0".rjust(w) for w in widths]
-        for row_texts in texts:
-            row = zeros.copy()
-            for j, s in row_texts:
-                row[j] = s.rjust(widths[j])
-            yield row
+
+def _rows(cols, texts, widths: list[int]) -> Iterator[list[str]]:
+    """Dense rows of entry texts from a row index, each text right-justified
+    to its column's width; rows are made one at a time, so no dense grid is
+    ever held."""
+    zeros = ["0".rjust(w) for w in widths]
+    for row_cols, row_texts in zip(cols, texts):
+        row = zeros.copy()
+        for j, s in zip(row_cols, row_texts):
+            row[j] = s.rjust(widths[j])
+        yield row
+
+
+def _deliver(lines: Iterator[str], out: TextIO | None) -> str | None:
+    """Join ``lines`` into one string, or, given ``out``, write each line to
+    it as it comes and return None."""
+    if out is None:
+        return "".join(lines)
+    for line in lines:
+        out.write(line)
+    return None
 
 
 def _fraction_text(n: int, den: int) -> str:

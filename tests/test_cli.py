@@ -243,6 +243,65 @@ def test_coverage_error_exit_code(capsys):
     assert "weight" in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_matrix_errors_before_the_stream_write_nothing(capsys, monkeypatch, fmt):
+    code, out, err = run(capsys, "matrix", "--weight", "5", "--horizon", "3", "--format", fmt)
+    assert (code, out) == (5, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+    # every entry's text is made before the first line is written
+    def out_of_memory(n, den):
+        raise MemoryError
+
+    monkeypatch.setattr(mzhopf.morphisms, "_fraction_text", out_of_memory)
+    assert run(capsys, "matrix", "--weight", "4", "--format", fmt) == (
+        4, "", "error: out of memory\n")
+
+
+class _ClosingPipe:
+    """A stdout whose reader goes away after the first line."""
+
+    def __init__(self):
+        self.lines = []
+
+    def write(self, text):
+        if self.lines:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.lines.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_matrix_into_a_closed_pipe_exits_nine(capsys, fmt):
+    pipe = _ClosingPipe()
+    with redirect_stdout(pipe):
+        code = cli.main(["matrix", "--weight", "6", "--format", fmt])
+    err = capsys.readouterr().err
+    assert code == 9
+    assert len(pipe.lines) == 1
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    (["matrix", "--weight", "10"], 1),  # a ~3.7 MB table, cut part way through
+    (["eval", "[2] sh [2]"], 0),  # still buffered when Python flushes at exit
+], ids=["matrix-stream", "eval-buffered"])
+def test_a_pipe_closed_by_its_reader_exits_nine(argv, lines_read):
+    src = os.path.dirname(os.path.dirname(mzhopf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered, as in a shell pipeline
+    child = subprocess.Popen(
+        [sys.executable, "-m", "mzhopf", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    for _ in range(lines_read):
+        child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 9
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
