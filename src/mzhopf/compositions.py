@@ -197,19 +197,22 @@ def tensor_le(u, v) -> bool:
     return order_cmp(concatenate(u), concatenate(v)) <= 0
 
 
-@lru_cache(maxsize=1 << 15)
 def encode_word(c) -> Word:
     """Word of a composition: each part s contributes ``"0"*(s-1) + "1"``."""
     return "".join(X0 * (p - 1) + X1 for p in Composition(c))
 
 
-@lru_cache(maxsize=1 << 16)
+def _check_letters(w: Word) -> None:
+    """Raise WordDecodeError unless every letter of ``w`` is ``X0`` or ``X1``."""
+    if set(w) - {X0, X1}:
+        raise WordDecodeError(f"word {w!r} has letters outside {{{X0!r}, {X1!r}}}")
+
+
 def decode_word(w: Word) -> Composition:
     """Inverse of encode_word.  Raises WordDecodeError off the image."""
     if not w:
         return UNIT
-    if set(w) - {X0, X1}:
-        raise WordDecodeError(f"word {w!r} has letters outside {{{X0!r}, {X1!r}}}")
+    _check_letters(w)
     if not w.endswith(X1):
         raise WordDecodeError(f"word {w!r} does not end in {X1!r}")
     return Composition(len(run) + 1 for run in w.split(X1)[:-1])

@@ -346,11 +346,6 @@ class GradedMatrix:
             for d in nums
         )
 
-    def cells(self) -> list[list[str]]:
-        """``str`` of every entry, row by row; zero entries read ``"0"``."""
-        cols, texts, _ = self._row_index()
-        return list(_rows(cols, texts, [0] * self.dimension))
-
     # Each renderer below makes every text and width before its first line,
     # so an error while they are made writes nothing to ``out``; only a
     # failing ``out.write`` can stop the output part way.
@@ -366,7 +361,8 @@ class GradedMatrix:
         return _deliver(self._table_lines(), out)
 
     def to_json(self, out: TextIO | None = None) -> str | None:
-        """``json.dumps`` of ``{"weight", "basis", "entries": cells()}``,
+        """``json.dumps`` of ``{"weight", "basis", "entries"}``, the entries
+        as the ``str`` of every entry row by row (zero entries read ``"0"``),
         with no dense grid of cells held; ``out`` as for :meth:`to_csv`."""
         return _deliver(self._json_lines(), out)
 

@@ -14,8 +14,12 @@ is computed from the integer closed form of its reduced part
         (-1)^i (R^i/i!)([s1,...,sj]) (x) [s_{j+1}-i, s_{j+2},...,sk]
 
 with ``R = raise_prefix(j)``, so ``(R^i/i!)(a)`` sums
-``prod C(al+ml-1, ml) * [a1+m1,...,aj+mj]`` over ``m1+...+mj = i``.  The
-counit picks the coefficient of the unit.  The antipode is the closed form
+``prod C(al+ml-1, ml) * [a1+m1,...,aj+mj]`` over ``m1+...+mj = i``.  Only
+that reduced part is cached, once per composition; ``coproduct`` and
+``iterated_coproduct`` add the boundary terms ``1 (x) c + c (x) 1`` as they
+sum, one key ``1 (x) 1`` for the unit.  The counit, which picks the
+coefficient of the unit, is the one of :mod:`quasi_shuffle`.  The antipode
+is the closed form
 
     S([s1, t]) = (-1)^(1+|t|) (R^(s1-1)/(s1-1)!)([1, reversed(t)])
 
@@ -37,17 +41,14 @@ negative coproduct terms (for example ``coproduct([1,2])`` contains
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .compositions import (
     UNIT,
-    X0,
-    X1,
     Composition,
     Word,
-    WordDecodeError,
+    _check_letters,
 )
 from .elements import (
     Element,
@@ -56,7 +57,7 @@ from .elements import (
     as_element,
     linear_combination,
 )
-from .quasi_shuffle import _pair, _product
+from .quasi_shuffle import _pair, _product, counit
 
 __all__ = [
     "UnitTermError",
@@ -88,9 +89,8 @@ def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
 
     Raises WordDecodeError on a letter other than ``X0`` or ``X1``.
     """
-    for w in (u, v):
-        if set(w) - {X0, X1}:
-            raise WordDecodeError(f"word {w!r} has letters outside {{{X0!r}, {X1!r}}}")
+    _check_letters(u)
+    _check_letters(v)
     codes, counts = _pair(int("1" + u, 2), int("1" + v, 2), False)
     return {bin(w)[3:]: n for w, n in zip(codes, counts)}
 
@@ -200,14 +200,6 @@ def lifted_raise_part(i: int, t: TensorElement) -> TensorElement:
 
 
 @lru_cache(maxsize=None)
-def _coproduct_basis(c: Composition) -> TensorElement:
-    # for the unit the two boundary keys are one key
-    terms = {(UNIT, c): 1, (c, UNIT): 1}
-    terms.update(_reduced_coproduct_basis(c)._terms)
-    return TensorElement._raw(2, terms)
-
-
-@lru_cache(maxsize=None)
 def _reduced_coproduct_basis(c: Composition) -> TensorElement:
     # the closed form of the module docstring; a key (u, v) fixes j = depth(u),
     # i = s_{j+1} - v[0] and the raised slots, so no two terms meet
@@ -222,20 +214,27 @@ def _reduced_coproduct_basis(c: Composition) -> TensorElement:
     return TensorElement._raw(2, terms)
 
 
-def _extend(basis_coproduct, e) -> TensorElement:
-    # linear extension of a basis coproduct (composition -> rank-2 tensor)
-    parts = ((basis_coproduct(c)._terms.items(), q) for c, q in as_element(e)._terms.items())
-    return TensorElement._raw(2, linear_combination(parts))
+def _coproduct(e, boundary: bool) -> TensorElement:
+    # one cached table, the reduced coproduct; with ``boundary`` the terms
+    # 1 (x) c + c (x) 1 are added as the terms are summed.  They never meet
+    # a reduced key, and for the unit they are one key.
+    def parts():
+        for c, q in as_element(e)._terms.items():
+            yield _reduced_coproduct_basis(c)._terms.items(), q
+            if boundary:
+                yield {(UNIT, c): 1, (c, UNIT): 1}.items(), q
+
+    return TensorElement._raw(2, linear_combination(parts()))
 
 
 def coproduct(e) -> TensorElement:
     """The shuffle-side coproduct, extended linearly."""
-    return _extend(_coproduct_basis, e)
+    return _coproduct(e, True)
 
 
 def reduced_coproduct(e) -> TensorElement:
     """coproduct minus the two boundary terms unit (x) e and e (x) unit."""
-    return _extend(_reduced_coproduct_basis, e)
+    return _coproduct(e, False)
 
 
 def _expand_first(terms: dict, basis_coproduct) -> dict:
@@ -258,13 +257,8 @@ def iterated_coproduct(m: int, e) -> TensorElement:
         raise ValueError("iterated coproduct needs rank >= 1")
     terms = {(c,): q for c, q in as_element(e)._terms.items()}
     for _ in range(m - 1):
-        terms = _expand_first(terms, _coproduct_basis)
+        terms = _expand_first(terms, coproduct)
     return TensorElement._raw(m, terms)
-
-
-def counit(e) -> Fraction:
-    """Coefficient of the unit term."""
-    return as_element(e).coefficient(UNIT)
 
 
 # ---------------------------------------------------------------------------

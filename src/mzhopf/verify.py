@@ -32,6 +32,7 @@ from .compositions import (
     decode_word,
     encode_word,
     enumerate_basis,
+    is_admissible,
     order_cmp,
     tensor_le,
 )
@@ -781,7 +782,7 @@ def suite_triangular(max_weight: int | None = None) -> list[CheckResult]:
 
 
 def _admissible_up_to(bound: int) -> list[Composition]:
-    return [c for c in compositions_up_to(bound) if c and c[0] >= 2]
+    return [c for c in compositions_up_to(bound) if is_admissible(c)]
 
 
 def _check_dp_brute(depth_bound: int = 3, weight_bound: int = 5, terms: int = 50) -> str | None:

@@ -13,6 +13,7 @@ from mzhopf.compositions import (
     Composition,
     WordDecodeError,
     compositions_up_to,
+    decode_word,
     enumerate_basis,
 )
 from mzhopf.elements import Element, TensorElement, componentwise_product
@@ -20,7 +21,6 @@ from mzhopf.quasi_shuffle import _code, _pair
 from mzhopf.shuffle_algebra import (
     UnitTermError,
     _antipode_basis,
-    _coproduct_basis,
     antipode,
     coproduct,
     counit,
@@ -44,12 +44,15 @@ def test_shuffle_words_basic():
     assert shuffle_words("", "01") == {"01": 1}
     assert shuffle_words("0", "1") == {"01": 1, "10": 1}
     assert shuffle_words("", "") == {"": 1}
-    # int("1" + u, 2) alone would read "0_1" and "01 " as "01"
+    # int("1" + u, 2) alone would read "0_1" and "01 " as "01"; the letters
+    # are checked as decode_word checks them, with the same message
     for bad in ("0_1", "01 ", "2"):
-        with pytest.raises(WordDecodeError):
-            shuffle_words(bad, "1")
-        with pytest.raises(WordDecodeError):
-            shuffle_words("1", bad)
+        with pytest.raises(WordDecodeError) as decoded:
+            decode_word(bad)
+        for u, v in ((bad, "1"), ("1", bad)):
+            with pytest.raises(WordDecodeError) as shuffled:
+                shuffle_words(u, v)
+            assert str(shuffled.value) == str(decoded.value)
 
 
 def test_shuffle_frozen_examples():
@@ -202,7 +205,7 @@ def test_coproduct_of_ones_is_binomial_free_deconcatenation():
 def test_coproduct_and_antipode_coefficients_are_integers_through_weight_nine():
     # structural: both closed forms sum products of binomials and never divide
     for c in compositions_up_to(9):
-        assert all(type(v) is int for v in _coproduct_basis(c)._terms.values()), c
+        assert all(type(v) is int for v in coproduct(c)._terms.values()), c
         assert all(type(v) is int for v in _antipode_basis(c)._terms.values()), c
 
 
@@ -227,7 +230,7 @@ def _raising_chain_coproduct(c):
 def test_closed_form_coproduct_matches_raising_chain_through_weight_ten():
     # the bound may be raised, never lowered
     for c in compositions_up_to(10):
-        assert _coproduct_basis(c)._terms == _raising_chain_coproduct(c), c
+        assert coproduct(c)._terms == _raising_chain_coproduct(c), c
 
 
 def test_reduced_coproduct_of_a_deep_composition(capsys):
@@ -243,6 +246,44 @@ def test_reduced_coproduct_of_a_deep_composition(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert len(doc["terms"]) == 2402
+
+
+def test_unit_term_in_a_sum_is_one_boundary_key():
+    # the boundary terms 1 (x) c and c (x) 1 are one key for the unit, so it
+    # must contribute 2/3 * 1 (x) 1 once, not twice
+    scales = {UNIT: Fraction(2, 3), Composition((2, 1, 3)): Fraction(1, 2),
+              Composition((1, 1, 2, 1)): -3}
+    e = Element(scales)
+
+    def scaled_sum(per_basis):
+        out = {}
+        for c, q in scales.items():
+            for key, v in per_basis(c).items():
+                out[key] = out.get(key, 0) + q * v
+        return {key: v for key, v in out.items() if v}
+
+    assert coproduct(e)._terms == scaled_sum(_raising_chain_coproduct)
+    assert coproduct(e)._terms[UNIT, UNIT] == Fraction(2, 3)
+
+    def reduced(c):
+        terms = dict(_raising_chain_coproduct(c))
+        del terms[UNIT, c]
+        terms.pop((c, UNIT), None)
+        return terms
+
+    assert reduced_coproduct(e)._terms == scaled_sum(reduced)
+    assert (UNIT, UNIT) not in reduced_coproduct(e)._terms
+
+    def rank_three(c):
+        # (coproduct (x) id) applied to the closed form, term by term
+        out = {}
+        for (u, v), w in _raising_chain_coproduct(c).items():
+            for (a, b), x in _raising_chain_coproduct(u).items():
+                out[a, b, v] = out.get((a, b, v), 0) + w * x
+        return out
+
+    assert iterated_coproduct(3, e)._terms == scaled_sum(rank_three)
+    assert iterated_coproduct(3, e)._terms[UNIT, UNIT, UNIT] == Fraction(2, 3)
 
 
 def test_single_part_compositions_are_primitive():
