@@ -18,14 +18,21 @@ weights is undefined and raises :class:`WeightMismatchError`.
 Words over a two-letter alphabet encode compositions: ``[s1, ..., sk]`` maps
 to ``x0^(s1-1) x1 ... x0^(sk-1) x1``.  Words are plain strings over ``"0"``
 and ``"1"``; a word is decodable exactly when it is empty or ends in ``"1"``.
+
+Inside the package a word is held as an integer code, a leading 1 bit and
+then one bit per letter (the unit's code is 1).  The weight-``n`` basis in
+ascending order has the odd codes ``2^n + 1, ..., 2^(n+1) - 1`` in order, and
+across weights increasing code is the ``serial_key`` order.  Only this module
+converts between compositions and codes.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from array import array
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 X0 = "0"
 X1 = "1"
@@ -197,9 +204,33 @@ def tensor_le(u, v) -> bool:
     return order_cmp(concatenate(u), concatenate(v)) <= 0
 
 
+def _code(c) -> int:
+    """The integer code of the word of ``c``, whose parts must be >= 1."""
+    w = 1
+    for s in c:
+        w = (w << s) | 1
+    return w
+
+
+@lru_cache(maxsize=1 << 16)
+def _decode(w: int) -> Composition:
+    """The composition of a code whose word is empty or ends in ``x1``."""
+    # each run of x0 letters before an x1 is one part less one; the parts of
+    # such a word are >= 1, so the validating constructor is skipped
+    return tuple.__new__(Composition, [len(run) + 1 for run in bin(w)[3:].split("1")[:-1]])
+
+
+def _packed(seq) -> Sequence[int]:
+    """``seq`` as an ``array("Q")``, or a tuple once a value reaches 2**64."""
+    try:
+        return array("Q", seq)
+    except OverflowError:
+        return tuple(seq)
+
+
 def encode_word(c) -> Word:
     """Word of a composition: each part s contributes ``"0"*(s-1) + "1"``."""
-    return "".join(X0 * (p - 1) + X1 for p in Composition(c))
+    return bin(_code(Composition(c)))[3:]
 
 
 def _check_letters(w: Word) -> None:
@@ -215,7 +246,7 @@ def decode_word(w: Word) -> Composition:
     _check_letters(w)
     if not w.endswith(X1):
         raise WordDecodeError(f"word {w!r} does not end in {X1!r}")
-    return Composition(len(run) + 1 for run in w.split(X1)[:-1])
+    return _decode(int(X1 + w, 2))
 
 
 def coarsenings(c) -> frozenset[Composition]:

@@ -26,24 +26,26 @@ the character and also back ``morphism_matrix`` and ``preimage``.  The
 defining formula above is kept only as an oracle in :mod:`mzhopf.verify`,
 which checks this route against it and inverts ``preimage`` against it.
 
-The columns are computed in plain integers.  Each memoized column is
-a pair ``(den, nums)``: one positive denominator and integer numerators
-keyed by composition, reduced so that ``gcd(den, *nums) == 1``.  Exact
-rationals (``int`` or ``Fraction``) appear again only in the results
-handed to callers.
+The columns are computed in plain integers.  Each memoized column is a
+triple ``(den, codes, nums)``: one positive denominator, the ascending word
+codes (:mod:`compositions`) of its rows, packed as the product kernel packs
+its entries, and their integer numerators, with ``gcd(den, *nums) == 1``.
+Codes are decoded, and exact rationals (``int`` or ``Fraction``) made, only
+in the results handed to callers.
 """
 
 from __future__ import annotations
 
 import json
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
-from typing import Callable, Iterator, Mapping, TextIO
+from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
-from .compositions import UNIT, Composition, enumerate_basis
+from .compositions import UNIT, Composition, _code, _decode, _packed, enumerate_basis
 from .elements import (
     Element,
     Rational,
@@ -54,11 +56,9 @@ from .elements import (
 )
 from . import shuffle_algebra
 
-_new = tuple.__new__
-
-#: A psi column: one denominator >= 1 and integer numerators keyed by
-#: composition, with gcd(den, *numerators) == 1.
-Column = tuple[int, dict[Composition, int]]
+#: A psi column: one denominator >= 1, the strictly ascending codes of its
+#: rows and their integer numerators, with gcd(den, *numerators) == 1.
+Column = tuple[int, Sequence[int], list[int]]
 
 __all__ = [
     "CoverageError",
@@ -102,14 +102,14 @@ class Character:
     rule is installed) raise :class:`CoverageError`.  Instances are
     immutable in use and hashed by identity.
 
-    The basis columns of the induced morphism are memoized in ``_psi``, and
-    the compositions that key them in ``_keys``.  The memo has no bound: it
-    holds every column any call has reached (every column of weights 1..12,
-    once all of them are built, is about 890 000 entries) and is freed
-    together with the character.
+    The basis columns of the induced morphism are memoized in ``_psi``,
+    keyed by composition.  The memo has no bound: it holds every column any
+    call has reached (every column of weights 1..12, once all of them are
+    built, is about 890 000 entries) and is freed together with the
+    character.
     """
 
-    __slots__ = ("_values", "_rule", "max_weight", "label", "_psi", "_keys")
+    __slots__ = ("_values", "_rule", "max_weight", "label", "_psi")
 
     def __init__(
         self,
@@ -132,8 +132,7 @@ class Character:
         self._rule = rule
         self.max_weight = max_weight
         self.label = label
-        self._psi: dict[Composition, Column] = {UNIT: (1, {UNIT: 1})}
-        self._keys: dict[tuple[int, ...], Composition] = {}
+        self._psi: dict[Composition, Column] = {UNIT: (1, _packed([1]), [1])}
 
     def value(self, c) -> Fraction:
         return Fraction(self._lookup(Composition(c)))
@@ -229,30 +228,29 @@ def induced_morphism_fast(chi: Character, e) -> Element:
     which expands the last tensor factor of the iterated reduced coproduct
     instead of the first; coassociativity makes the two expansions agree.
     Columns are cached on ``chi`` and shared with ``morphism_matrix`` and
-    ``preimage``.  The image is summed as integers over one common
-    denominator, and each of its coefficients is made exact once.
+    ``preimage``.  The image is summed by code in integers over one common
+    denominator; each coefficient is made exact, and each code decoded, once.
     """
     cols = [(q, _psi_column(chi, c)) for c, q in as_element(e)._terms.items()]
-    den = lcm(*[q.denominator * cden for q, (cden, _) in cols])
-    return Element._raw(
-        scaled_sum(
-            (
-                (nums.items(), q.numerator * (den // (q.denominator * cden)))
-                for q, (cden, nums) in cols
-            ),
-            den,
-        )
+    den = lcm(*[q.denominator * cden for q, (cden, _, _) in cols])
+    by_code = scaled_sum(
+        (
+            (zip(codes, nums), q.numerator * (den // (q.denominator * cden)))
+            for q, (cden, codes, nums) in cols
+        ),
+        den,
     )
+    return Element._raw({_decode(w): q for w, q in by_code.items()})
 
 
 def _psi_column(chi: Character, c: Composition) -> Column:
-    """psi(c) as ``(den, nums)``, memoized in ``chi._psi``.
+    """psi(c) as ``(den, codes, nums)``, memoized in ``chi._psi``.
 
-    ``psi(c) = sum of nums[d] / den * [d]`` with ``den >= 1``, integer
-    numerators and ``gcd(den, *nums.values()) == 1``.  The column is built
-    in integers: one ``lcm`` over the denominators of its parts, integer
-    multiply-adds, and one final ``gcd`` reduction.  Callers must not
-    mutate it.
+    ``psi(c) = sum of nums[i] / den * [decode(codes[i])]`` with ``den >= 1``,
+    ``codes`` strictly ascending, nonzero integer numerators and
+    ``gcd(den, *nums) == 1``.  The column is built in integers: one ``lcm``
+    over the denominators of its parts, integer multiply-adds keyed by code,
+    and one final ``gcd`` reduction.  Callers must not mutate it.
     """
     col = chi._psi.get(c)
     if col is not None:
@@ -264,28 +262,26 @@ def _psi_column(chi: Character, c: Composition) -> Column:
         y = chi._lookup(u)
         if not y:
             continue
-        vden, vnums = _psi_column(chi, v)
+        vden, vcodes, vnums = _psi_column(chi, v)
         d = w.denominator * y.denominator * vden
         den = lcm(den, d)
-        parts.append((u.weight, w.numerator * y.numerator, d, vnums))
-    # Keys are interned in chi._keys, looked up as plain tuples of parts >= 1:
-    # none goes through the validating constructor, and all columns share one
-    # object per key.
-    keys = chi._keys
-    t = (c.weight,)
-    nums = {keys.setdefault(t, _new(Composition, t)): x.numerator * (den // x.denominator)}
-    for head, a, d, vnums in parts:
+        parts.append((w.numerator * y.numerator, d, vcodes, vnums))
+    # [|u|] concatenated with a row of code k has the code top | k
+    top = 1 << c.weight
+    acc = {top | 1: x.numerator * (den // x.denominator)}
+    get = acc.get
+    for a, d, vcodes, vnums in parts:
         f = a * (den // d)
-        for k, n in vnums.items():
-            t = (head, *k)
-            key = keys.get(t) or keys.setdefault(t, _new(Composition, t))
-            nums[key] = nums.get(key, 0) + f * n
-    nums = {k: n for k, n in nums.items() if n}
-    g = gcd(den, *nums.values())
+        for k, n in zip(vcodes, vnums):
+            k |= top
+            acc[k] = get(k, 0) + f * n
+    codes = sorted(k for k, n in acc.items() if n)
+    nums = [acc[k] for k in codes]
+    g = gcd(den, *nums)
     if g > 1:
         den //= g
-        nums = {k: n // g for k, n in nums.items()}
-    col = chi._psi[c] = (den, nums)
+        nums = [n // g for n in nums]
+    col = chi._psi[c] = (den, _packed(codes), nums)
     return col
 
 
@@ -297,14 +293,15 @@ def _psi_column(chi: Character, c: Composition) -> Column:
 class GradedMatrix:
     """Matrix of a graded map on one weight component, in the ascending basis.
 
-    ``columns[j]`` is the image of ``basis[j]`` as a ``(den, nums)`` pair:
-    integer numerators over one positive denominator, keyed by composition,
-    with absent keys zero (the memoized psi columns, shared, not copied).
-    ``entries[row][col]`` is the coefficient of ``basis[row]`` in the image
-    of ``basis[col]``, built densely on first use.  For induced-morphism
-    matrices this is upper triangular with the diagonal products described
-    in the module docstring.  The text renderings never use ``entries``:
-    they are made row by row from a compact row index (``_row_index``).
+    ``columns[j]`` is the image of ``basis[j]`` as a ``(den, codes, nums)``
+    triple, the memoized psi column (shared, not copied); the row of code
+    ``d`` is ``(d >> 1) - 2^(weight-1)``, and absent rows are zero.
+    ``entries[row][col]`` is ``entry(row, col)``, the coefficient of
+    ``basis[row]`` in the image of ``basis[col]``, built densely on first
+    use.  For induced-morphism matrices this is upper triangular with the
+    diagonal products described in the module docstring.  The text
+    renderings never use ``entries``: they are made row by row from a
+    compact row index (``_row_index``).
     """
 
     weight: int
@@ -317,33 +314,24 @@ class GradedMatrix:
 
     @cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        zero = Fraction(0)
-        index = self._index
-        cols = []
-        for den, nums in self.columns:
-            col = [zero] * self.dimension
-            for d, n in nums.items():
-                col[index[d]] = Fraction(n, den)
-            cols.append(col)
-        return tuple(zip(*cols))
-
-    @cached_property
-    def _index(self) -> dict[Composition, int]:
-        return {c: i for i, c in enumerate(self.basis)}
+        span = range(self.dimension)
+        return tuple(tuple(self.entry(i, j) for j in span) for i in span)
 
     def entry(self, row: int, col: int) -> Fraction:
-        den, nums = self.columns[col]
-        return Fraction(nums.get(self.basis[row], 0), den)
+        den, codes, nums = self.columns[col]
+        d = _code(self.basis[row])
+        i = bisect_left(codes, d)
+        return Fraction(nums[i] if i < len(codes) and codes[i] == d else 0, den)
 
     def diagonal(self) -> tuple[Fraction, ...]:
         return tuple(self.entry(i, i) for i in range(self.dimension))
 
     def is_upper_triangular(self) -> bool:
-        index = self._index
+        low = 1 << (self.weight - 1)
         return all(
-            index[d] <= j
-            for j, (_, nums) in enumerate(self.columns)
-            for d in nums
+            (d >> 1) - low <= j
+            for j, (_, codes, _) in enumerate(self.columns)
+            for d in codes
         )
 
     # Each renderer below makes every text and width before its first line,
@@ -398,19 +386,19 @@ class GradedMatrix:
         and their texts in a parallel list; and per column, the length of
         its longest text.  Each distinct value is made into text once, and
         every entry with that value shares the one string."""
-        index = self._index
+        low = 1 << (self.weight - 1)
         cols = [array("I") for _ in self.basis]
         texts: list[list[str]] = [[] for _ in self.basis]
         widths = []
         known: dict[int, dict[int, str]] = {}  # den -> numerator -> text
-        for j, (den, nums) in enumerate(self.columns):
+        for j, (den, codes, nums) in enumerate(self.columns):
             made = known.setdefault(den, {})
             width = 0
-            for d, n in nums.items():
+            for d, n in zip(codes, nums):
                 s = made.get(n)
                 if s is None:
                     s = made[n] = _fraction_text(n, den)
-                i = index[d]
+                i = (d >> 1) - low
                 cols[i].append(j)
                 texts[i].append(s)
                 if len(s) > width:
@@ -467,33 +455,36 @@ def morphism_matrix(chi: Character, n: int) -> GradedMatrix:
 def preimage(chi: Character, e) -> Element:
     """The unique x with induced_morphism_fast(chi, x) = e.
 
-    Solved per weight by sparse back-substitution: walking the ascending
-    basis from the top down, each nonzero residual entry ``r`` at ``c``
-    gives one factor ``t = r / nums[c]`` from the integer psi column
-    ``(den, nums)`` of ``c``; the output coefficient is ``t * den`` and
-    ``t * n`` is subtracted for each numerator ``n`` of the column.  Only
-    the columns reached are built, never the dense matrix.  Raises
-    SingularCharacterError naming the smallest depth-one weight s with
-    chi([s]) = 0 at or below the top weight of ``e``.
+    Solved per weight by sparse back-substitution on a residual keyed by
+    code: walking the codes of the ascending basis from the top down, each
+    nonzero residual entry ``r`` at the code of ``c`` gives one factor
+    ``t = r / nums[-1]`` from the integer psi column ``(den, codes, nums)``
+    of ``c``, whose last row is ``c`` itself; the output coefficient is
+    ``t * den`` and ``t * n`` is subtracted for each numerator ``n`` of the
+    column.  Only the columns reached are built, never the dense matrix.
+    Raises SingularCharacterError naming the smallest depth-one weight s
+    with chi([s]) = 0 at or below the top weight of ``e``.
     """
     e = as_element(e)
     top = e.max_weight()
     for s in range(1, top + 1):
         if chi.value(Composition((s,))) == 0:
             raise SingularCharacterError(s)
-    residual = dict(e._terms)
+    residual = {_code(c): q for c, q in e._terms.items()}
     out: dict[Composition, Rational] = {}
     for n in component_weights(e):
-        for c in reversed(enumerate_basis(n)):
-            r = residual.get(c)
+        # the odd codes of weight n, top down; at n = 0 the unit's code 1
+        for w in range((2 << n) - 1, (1 << n) - 1, -2):
+            r = residual.get(w)
             if not r:
                 continue
-            den, nums = _psi_column(chi, c)
-            t = coerce_coeff(Fraction(r, nums[c]))
+            c = _decode(w)
+            den, codes, nums = _psi_column(chi, c)
+            t = coerce_coeff(Fraction(r, nums[-1]))
             out[c] = coerce_coeff(t * den)
-            # the column is upper triangular, so this zeroes residual[c] and
+            # the column is upper triangular, so this zeroes residual[w] and
             # changes only entries further down the walk
-            for d, q in nums.items():
+            for d, q in zip(codes, nums):
                 residual[d] = residual.get(d, 0) - t * q
     return Element._raw(out)
 

@@ -10,18 +10,16 @@ The stuffle's letters are parts, with ``<s,t> = s + t``, as in the product of
 nested series: ``stuffle([2], [2]) = 2*[2,2] + [4]``.  The shuffle is the case
 of ``x0, x1`` words with the zero bracket, which drops the third term.
 
-The recursion runs on integer codes of the ``x0, x1`` word of a composition:
-a leading 1 bit, then one bit per letter, so ``[s1, ..., sk]`` is built by
-``w = (w << s) | 1`` per part and the unit is ``1``.  A letter ``(k, x)`` is
-appended to a code as ``(w << k) | x``: a shuffle letter is one bit, a
-stuffle letter ``s`` is ``(s, 1)``, and ``s`` is one more than the trailing
-zeros of ``w >> 1``.  Each cache entry is a pair ``(codes, counts)`` of
-``array("Q")``, two machine words per term.  An entry with a code of
-``2**64`` or more, an output word of 64 or more letters (weight >= 64), or a
-count that large keeps two tuples of ``int`` instead, as does the unit entry.
-The product encodes each input term once, sums in integers over one common
-denominator, and decodes each distinct output code once to a
-``Composition`` after the sums are made exact; no ``str`` word or
+The recursion runs on the integer word codes of :mod:`compositions` (a
+leading 1 bit, then one bit per letter; the unit is ``1``).  A letter
+``(k, x)`` is appended to a code as ``(w << k) | x``: a shuffle letter is one
+bit, a stuffle letter ``s`` is ``(s, 1)``, and ``s`` is one more than the
+trailing zeros of ``w >> 1``.  Each cache entry is a pair ``(codes, counts)``,
+each an ``array("Q")`` of machine words, or a tuple of ``int`` once it holds
+a value of ``2**64`` or more (a code of weight >= 64, or a count that large)
+and in the unit entry.  The product encodes each input term once, sums in
+integers over one common denominator, and decodes each distinct output code
+once to a ``Composition`` after the sums are made exact; no ``str`` word or
 ``Composition`` is built inside the recursion.  It takes one stack frame
 per letter, so products of words of several hundred letters exceed the
 recursion limit.
@@ -37,12 +35,11 @@ and every depth-one composition to 1 and deeper compositions to 0.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .compositions import UNIT, Composition, coarsenings
+from .compositions import UNIT, Composition, _code, _decode, _packed, coarsenings
 from .elements import (
     Element,
     TensorElement,
@@ -59,23 +56,6 @@ __all__ = [
     "antipode",
     "canonical_character",
 ]
-
-
-def _code(c) -> int:
-    """The integer code of the ``x0, x1`` word of ``c``: a leading 1 bit, then
-    one bit per letter, so ``bin(_code(c))[3:] == encode_word(c)``."""
-    w = 1
-    for s in c:
-        w = (w << s) | 1
-    return w
-
-
-@lru_cache(maxsize=1 << 16)
-def _decode(w: int) -> Composition:
-    """The composition of a code whose word is empty or ends in ``x1``."""
-    # each run of x0 letters before an x1 is one part less one; the parts of
-    # such a word are >= 1, so the validating constructor is skipped
-    return tuple.__new__(Composition, [len(run) + 1 for run in bin(w)[3:].split("1")[:-1]])
 
 
 @lru_cache(maxsize=1 << 18)
@@ -102,13 +82,9 @@ def _quasi_shuffle(u: int, v: int, bracket: bool) -> tuple[Sequence[int], Sequen
         for w, n in zip(codes, counts):
             key = (w << k) | x
             out[key] = get(key, 0) + n
-    try:
-        # from a list an array is allocated at its exact size; from a dict
-        # view it grows item by item and over-allocates by about 6 %
-        return array("Q", list(out)), array("Q", list(out.values()))
-    except OverflowError:
-        # a code or count of 2**64 or more, as in the module docstring
-        return tuple(out), tuple(out.values())
+    # from a list an array is allocated at its exact size; from a dict view
+    # it grows item by item and over-allocates by about 6 %
+    return _packed(list(out)), _packed(list(out.values()))
 
 
 def _pair(u: int, v: int, bracket: bool) -> tuple[Sequence[int], Sequence[int]]:

@@ -5,6 +5,8 @@ from mzhopf.compositions import (
     Composition,
     WeightMismatchError,
     WordDecodeError,
+    _code,
+    _decode,
     coarsenings,
     compositions_up_to,
     concatenate,
@@ -133,6 +135,23 @@ def test_words_roundtrip():
     assert encode_word(Composition((3, 1))) == "0011"
     assert encode_word(Composition((2, 1))) == "011"
     assert encode_word(UNIT) == ""
+
+
+def test_word_codes_are_the_basis_order():
+    # the integer code of a word: a leading 1 bit, then the word's letters
+    assert _code(UNIT) == 1
+    for n in range(1, 14):
+        codes = [_code(c) for c in enumerate_basis(n)]
+        assert codes == list(range((1 << n) + 1, 2 << n, 2))
+    seen = list(compositions_up_to(13))
+    assert sorted(seen, key=_code) == sorted(seen, key=serial_key)
+    for c in seen:
+        w = _code(c)
+        d = _decode(w)
+        assert d == c and type(d) is Composition
+        assert encode_word(c) == bin(w)[3:]
+        if c:
+            assert w == (1 << c.weight) | _code(c[1:])
 
 
 def test_decode_rejects_undecodable():

@@ -2,16 +2,17 @@ import gc
 import json
 import random
 import tracemalloc
+from array import array
 from contextlib import redirect_stdout
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import rational_sums
 from mzhopf import cli, morphisms, verify
-from mzhopf.compositions import Composition, UNIT, compositions_up_to, enumerate_basis
+from mzhopf.compositions import Composition, UNIT, _code, compositions_up_to, enumerate_basis
 from mzhopf.elements import Element
 from mzhopf.morphisms import (
     Character,
@@ -224,6 +225,8 @@ def test_matrix_weight_two():
     assert m.entries == ((F(1, 2), F(1, 2)), (F(0), F(1)))
     assert m.diagonal() == (F(1, 2), F(1))
     assert m.is_upper_triangular()
+    with pytest.raises(IndexError):
+        m.entry(m.dimension, 0)
 
 
 def test_matrix_is_upper_triangular_with_factorial_diagonal():
@@ -244,10 +247,32 @@ def test_memoized_columns_are_in_normal_form():
         for n in range(1, chi.max_weight + 1):
             morphism_matrix(chi, n)
         assert len(chi._psi) == 2**chi.max_weight  # every column, and the unit's
-        for c, (den, nums) in chi._psi.items():
+        nonsingular = all(chi.value((s,)) for s in range(1, chi.max_weight + 1))
+        for c, (den, codes, nums) in chi._psi.items():
             assert type(den) is int and den >= 1, c
-            assert all(type(v) is int and v for v in nums.values()), c
-            assert __import__("math").gcd(den, *nums.values()) == 1, c
+            assert len(codes) == len(nums), c
+            assert all(a < b for a, b in zip(codes, codes[1:])), c
+            assert all(type(v) is int and v for v in nums), c
+            assert gcd(den, *nums) == 1, c
+            if nonsingular:
+                assert codes[-1] == _code(c), c
+
+
+def test_psi_of_depth_two_past_weight_sixty_four():
+    # psi([c1,c2]) for the factorial character, n = c1 + c2:
+    # (1/n!)([n] + sum over i < c2 of (-1)^i C(c1+i-1, i) C(n, c1+i) [c1+i, c2-i]);
+    # from weight 64 on the column's codes reach 2^64 and keep a tuple
+    for c1, c2 in [(1, 1), (2, 3), (3, 1), (1, 5), (4, 4), (30, 40), (1, 70), (63, 2)]:
+        n = c1 + c2
+        chi = factorial_character(n)
+        expected = {(n,): F(1, factorial(n))}
+        for i in range(c2):
+            expected[(c1 + i, c2 - i)] = F(
+                (-1) ** i * comb(c1 + i - 1, i) * comb(n, c1 + i), factorial(n)
+            )
+        assert induced_morphism_fast(chi, Element.basis((c1, c2))) == Element(expected)
+        codes = chi._psi[(c1, c2)][1]
+        assert type(codes) is (tuple if n >= 64 else array), (c1, c2)
 
 
 def _dense_renderings(m):
@@ -325,12 +350,12 @@ def test_row_index_shares_one_text_per_distinct_value():
     for i, (row_cols, row_texts) in enumerate(zip(cols, texts)):
         assert len(row_cols) == len(row_texts)
         for j, s in zip(row_cols, row_texts):
-            den, nums = m.columns[j]
-            n = nums[m.basis[i]]
+            den, codes, nums = m.columns[j]
+            n = dict(zip(codes, nums))[_code(m.basis[i])]
             assert s == str(F(n, den))
             shared.setdefault((n, den), set()).add(id(s))
     assert sum(map(len, shared.values())) == len(shared)
-    assert sum(map(len, cols)) == sum(len(nums) for _, nums in m.columns)
+    assert sum(map(len, cols)) == sum(len(nums) for _, _, nums in m.columns)
     assert widths == [max(len(str(v)) for v in col if v) for col in zip(*m.entries)]
 
 

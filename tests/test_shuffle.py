@@ -12,12 +12,13 @@ from mzhopf.compositions import (
     UNIT,
     Composition,
     WordDecodeError,
+    _code,
     compositions_up_to,
     decode_word,
     enumerate_basis,
 )
 from mzhopf.elements import Element, TensorElement, componentwise_product
-from mzhopf.quasi_shuffle import _code, _pair
+from mzhopf.quasi_shuffle import _pair
 from mzhopf.shuffle_algebra import (
     UnitTermError,
     _antipode_basis,
